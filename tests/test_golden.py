@@ -1,0 +1,74 @@
+"""Golden digests: two fixed runs must keep producing byte-identical output.
+
+Each run hashes its trace CSV and every frame sealed during the run (token
+frames, puzzle command ciphertexts and device wraps alike), collected by
+wrapping crypto.sym_seal.  A refactor of the token path that changes either
+digest changed the bytes on the wire.
+"""
+
+import hashlib
+
+import pytest
+
+from ringveil import crypto, schedule, simnet
+
+
+def _digests(monkeypatch, run):
+    sealed = hashlib.sha256()
+    original = crypto.sym_seal
+
+    def recording_seal(plaintext, key, nonce):
+        frame = original(plaintext, key, nonce)
+        sealed.update(len(frame).to_bytes(4, "big") + frame)
+        return frame
+
+    monkeypatch.setattr(crypto, "sym_seal", recording_seal)
+    trace = run()
+    csv_digest = hashlib.sha256(simnet.trace_to_csv(trace).encode()).hexdigest()
+    return csv_digest, sealed.hexdigest()
+
+
+def _padding_ring():
+    config = simnet.SimConfig(n_physical=3, n_virtual=64, jitter=40, rounds=4, seed=11)
+    trace, _reports, _stats = simnet.run(config)
+    return trace
+
+
+def _scheduled_ring():
+    config = simnet.SimConfig(n_physical=6, rounds=12, modulus_bits=128, seed=23)
+    order = schedule.parse_schedule_text(
+        "device 1\ndevice 2\ndevice 3\ndevice 4\ndevice 5\ndevice 6\n"
+        "pair 2 5\nread 3\nread 6\n"
+    )
+    plan = schedule.compile(
+        order,
+        simnet.registry_for(config),
+        crypto.gen_params(128, rng_seed=23),
+        simnet.predicted_forward_times(config),
+        rng_seed=23,
+        squarings_per_unit=config.squarings_per_tick,
+    )
+    trace, reports, stats = simnet.run(config, plan, script=order.effective_script())
+    assert len(reports) == 6
+    assert stats["uploads_recovered"] == 8
+    return trace
+
+
+@pytest.mark.parametrize(
+    "run, trace_digest, frame_digest",
+    [
+        (
+            _padding_ring,
+            "546837d112af5cc8c86f99d86f6b8a0546f46a63ab3244ca66219a5342fc3c1a",
+            "81a16eb76d2f8e934d57994d0f329b90f482d2866913578ad381f40ea19d1ff6",
+        ),
+        (
+            _scheduled_ring,
+            "341a959f5abc5a8419a30af98e00845e5f8d61bbcd9d021685820f3149d24252",
+            "0fea00d1f446cc99fa7cbe4f128c6200344156c83862236b488e1031cc85b4d2",
+        ),
+    ],
+    ids=["padding_ring", "scheduled_ring"],
+)
+def test_golden_digests(monkeypatch, run, trace_digest, frame_digest):
+    assert _digests(monkeypatch, run) == (trace_digest, frame_digest)
