@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
-from scipy import stats as _stats
-
 from ringveil import crypto, token
 from ringveil.protocol import HUB_ID
 from ringveil.simnet import TraceLog
@@ -84,7 +82,9 @@ def _ks_test(a, b):
         return 0.0, 1.0
     if not a or not b:
         return 1.0, 0.0
-    result = _stats.ks_2samp(a, b)
+    from scipy import stats  # deferred: it dominates CLI start-up, and only these tests use it
+
+    result = stats.ks_2samp(a, b)
     return float(result.statistic), float(result.pvalue)
 
 
@@ -100,7 +100,9 @@ def _count_test(a, b):
         [a.get(i, 0) for i in ids],
         [b.get(i, 0) for i in ids],
     ]
-    result = _stats.chi2_contingency(table)
+    from scipy import stats
+
+    result = stats.chi2_contingency(table)
     return float(result.statistic), float(result.pvalue)
 
 

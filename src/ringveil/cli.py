@@ -1,7 +1,9 @@
 """Command-line front end: schedule compilation, puzzle tooling, calibration,
 simulation runs and sweeps, and wiretap analysis.
 
-Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
+Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error,
+4 protocol failure (the ring could not carry the run, e.g. an upload larger
+than its sub-field).
 The seed comes from --seed, falling back to the RINGVEIL_SEED environment
 variable, then 0.  Every run writes a manifest carrying the seed and the
 geometry fingerprint so any output can be reproduced byte for byte.
@@ -17,13 +19,14 @@ import sys
 import time
 from dataclasses import asdict, replace
 
-from ringveil import adversary, crypto, schedule, simnet
+from ringveil import adversary, crypto, protocol, schedule, simnet
 from ringveil._kernel import BACKEND, square_chain
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_IO = 3
+EXIT_PROTOCOL = 4
 
 STATS_HEADER = "n_devices,mean_latency_us,var_latency_us,mean_token_bytes"
 
@@ -139,7 +142,7 @@ def _cmd_schedule_compile(args):
         json.dumps(
             {
                 "devices": len(plan.entries),
-                "slot_length_us": schedule.slot_length(plan),
+                "slot_length_us": plan.slot_length,
                 "ring_order": list(plan.ring_order),
                 "out": args.out,
             }
@@ -494,6 +497,9 @@ def main(argv=None) -> int:
     except crypto.FramingError as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except protocol.ProtocolError as exc:
+        print(f"protocol failure: {exc}", file=sys.stderr)
+        return EXIT_PROTOCOL
     except schedule.ScheduleParseError as exc:
         print(f"schedule error: {exc}", file=sys.stderr)
         return EXIT_USAGE

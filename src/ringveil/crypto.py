@@ -202,12 +202,21 @@ def sym_seal(plaintext: bytes, key: bytes, nonce: int) -> bytes:
     return nonce_bytes + AESGCM(key).encrypt(nonce_bytes, plaintext, None)
 
 
-def sym_open(frame: bytes, key: bytes) -> bytes:
+def sym_open(frame, key: bytes, out=None):
+    """Authenticate and decrypt a frame, read through a memoryview.
+
+    Returns the plaintext as bytes, or, when `out` is a writable buffer of
+    exactly the plaintext length, decrypts into it and returns it.
+    """
     if len(frame) < NONCE_BYTES + TAG_BYTES:
         raise FramingError(f"frame of {len(frame)} bytes is shorter than nonce plus tag")
-    nonce_bytes = frame[:NONCE_BYTES]
+    view = memoryview(frame)
+    nonce_bytes, sealed = view[:NONCE_BYTES], view[NONCE_BYTES:]
     try:
-        return AESGCM(key).decrypt(nonce_bytes, frame[NONCE_BYTES:], None)
+        if out is None:
+            return AESGCM(key).decrypt(nonce_bytes, sealed, None)
+        AESGCM(key).decrypt_into(nonce_bytes, sealed, None, out)
+        return out
     except InvalidTag as exc:
         raise AuthenticationError("authentication tag mismatch") from exc
 

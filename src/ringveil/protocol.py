@@ -10,7 +10,7 @@ each report against the phi(n) shortcut and the plan's ordering constraints.
 """
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ringveil import crypto, schedule, token
@@ -52,6 +52,12 @@ def report_to_bytes(report: ExecutionReport) -> bytes:
         + report.t_hat.to_bytes(8, "big")
         + crypto.encode_bigint(report.solution)
     )
+
+
+def report_upload_bytes(modulus_bits: int) -> int:
+    """Sub-field width a report upload needs: the widest report (its residue
+    lies below the modulus) plus the 2-byte length prefix."""
+    return 4 + 8 + 8 + 4 + (modulus_bits + 7) // 8 + 2
 
 
 def report_from_bytes(buf: bytes) -> ExecutionReport:
@@ -176,7 +182,7 @@ def _slot_payload(slot: bytes):
 
 
 def _try_take_puzzle(state: DeviceState, t: token.Token, now: int):
-    slot = t.command_field[state.slot_index]
+    slot = t.slot(state.slot_index)
     try:
         # Every device attempts this unwrap on every fresh token, scheduled
         # or not, so per-node processing does not depend on the schedule.
@@ -194,53 +200,48 @@ def _try_take_puzzle(state: DeviceState, t: token.Token, now: int):
     state.solve_residue = puzzle.a % puzzle.n
 
 
-def _subfield_of(state: DeviceState, data_field: bytes):
-    start, end = state.layout.subfield_bounds(state.slot_index)
-    return start, end, data_field[start:end]
-
-
 def device_on_token(state: DeviceState, frame: bytes, now: int, forward_at=None):
     """Process one token arrival; returns (state, frame to forward).
 
-    forward_at stamps the fwd event when the caller holds the frame before
-    releasing it; defaults to the receive time.
+    The decrypted token is edited in place: the counter, this device's toggle
+    bit and its own sub-field, nothing else.  forward_at stamps the fwd event
+    when the caller holds the frame before releasing it; defaults to the
+    receive time.
     """
     t = token.token_parse(frame, state.ring_key, state.layout)
-    state.events.append(format_event(t.round, state.device_id, "rcv", now))
-    out = replace(t, counter=t.counter - 1)
+    round_no = t.round
+    index = state.slot_index
+    state.events.append(format_event(round_no, state.device_id, "rcv", now))
+    t.counter -= 1
 
-    fresh = t.token_id not in state.seen_token_ids
-    if fresh:
-        state.seen_token_ids.add(t.token_id)
+    token_id = t.token_id
+    if token_id not in state.seen_token_ids:
+        state.seen_token_ids.add(token_id)
         _try_take_puzzle(state, t, now)
 
-        granted = state.slot_index in token.toggle_read(t)
         uploaded = False
-        if granted and state.upload_queue:
-            start, end, current = _subfield_of(state, out.data_field)
+        if state.upload_queue and t.toggle(index):
+            start, end = state.layout.subfield_bounds(index)
             record = state.upload_queue.pop(0)
-            padded = record + bytes(end - start - len(record))
-            concealed = token.data_overwrite(current, padded)
-            data = out.data_field[:start] + concealed + out.data_field[end:]
-            out = replace(out, data_field=data)
+            t.xor_subfield(index, record + bytes(end - start - len(record)))
             state.toggle_requested = False
             uploaded = True
-            state.events.append(format_event(t.round, state.device_id, "upload", now))
+            state.events.append(format_event(round_no, state.device_id, "upload", now))
 
         # A re-request in the very round of a grant would be indistinguishable
         # from the grant mark itself, so a device with more queued data waits
         # for the next round to raise its bit again.
         if not uploaded and state.upload_queue and not state.toggle_requested:
-            out = token.toggle_set(out, state.slot_index)
+            t.set_toggle(index, True)
             state.toggle_requested = True
-            state.events.append(format_event(t.round, state.device_id, "upload_req", now))
+            state.events.append(format_event(round_no, state.device_id, "upload_req", now))
 
-    state.last_counter = out.counter
+    state.last_counter = t.counter
     state.seal_count += 1
     nonce = ((state.ring_position + 1) << _NONCE_POSITION_SHIFT) | state.seal_count
-    forwarded = token.token_build(out, state.ring_key, state.layout, nonce)
+    forwarded = token.token_build(t, state.ring_key, state.layout, nonce)
     fwd_time = now if forward_at is None else forward_at
-    state.events.append(format_event(t.round, state.device_id, "fwd", fwd_time))
+    state.events.append(format_event(round_no, state.device_id, "fwd", fwd_time))
     return state, forwarded
 
 
@@ -377,11 +378,12 @@ def hub_emit_token(state: HubState, now: int):
         round=round_no,
         counter=state.n_virtual,
         toggle_bits=bytes(state.layout.toggle_bytes),
-        command_field=tuple(slots),
+        command_field=slots,
         data_field=b_r,
+        layout=state.layout,
     )
     for idx in state.pending_grants:
-        t = token.toggle_set(t, idx)
+        t.set_toggle(idx, True)
 
     state.seal_count += 1
     frame = token.token_build(t, state.ring_key, state.layout, state.seal_count)
@@ -400,7 +402,7 @@ def hub_on_token(state: HubState, frame: bytes, now: int) -> HubState:
     if b_r is not None:
         for idx in sorted(state.pending_grants):
             start, end = state.layout.subfield_bounds(idx)
-            recovered = token.data_recover(t.data_field[start:end], b_r[start:end])
+            recovered = token.data_recover(t.subfield(idx), b_r[start:end])
             length = int.from_bytes(recovered[:2], "big")
             if 0 < length <= len(recovered) - 2:
                 state.recovered.append((t.round, idx + 1, recovered[2 : 2 + length]))

@@ -280,12 +280,6 @@ def compile(
     )
 
 
-def slot_length(plan: SchedulePlan) -> int:
-    if not plan.entries:
-        return 0
-    return -(-max(e.t_hat for e in plan.entries) // plan.squarings_per_unit)
-
-
 def slots_required(n: int, k: int) -> int:
     if k > n:
         raise ValueError("comparable count cannot exceed device count")

@@ -168,6 +168,13 @@ def _check_plan(config: SimConfig, plan, registry):
             raise ValueError(
                 "plan was not compiled against the simulation registry"
             ) from exc
+        bits = max(e.puzzle.n.bit_length() for e in plan.entries)
+        needed = protocol.report_upload_bytes(bits)
+        if config.data_per_device < needed:
+            raise ValueError(
+                f"data_per_device={config.data_per_device} cannot carry a {bits}-bit "
+                f"execution report; it needs at least {needed}"
+            )
 
 
 def _run_ring(config: SimConfig, plan, script, registry):

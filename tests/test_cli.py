@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -30,6 +32,17 @@ class TestParsing:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "ringveil" in out
+
+
+class TestColdStart:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        probe = "import sys, ringveil.cli; print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestScheduleCompile:
@@ -75,6 +88,25 @@ class TestScheduleCompile:
         ]
         assert reports
         assert protocol.owner_verify_execution(reports, params, plan)
+
+    @pytest.mark.parametrize("rate, slot_length", [("1", 3082), ("7", 2225)])
+    def test_summary_json_is_pinned(self, tmp_path, capsys, rate, slot_length):
+        sched = tmp_path / "s.txt"
+        sched.write_text(SCHED_TEXT)
+        out = tmp_path / "plan.json"
+        code, stdout, _ = run_cli(
+            capsys, "schedule", "compile", str(sched), "--out", str(out),
+            "--modulus-bits", "64", "--seed", "3", "--squaring-rate", rate,
+        )
+        assert code == 0
+        assert json.loads(stdout) == {
+            "devices": 4,
+            "slot_length_us": slot_length,
+            "ring_order": [1, 2, 3, 4],
+            "out": str(out),
+        }
+        plan = schedule.plan_from_json(out.read_text())
+        assert slot_length == -(-max(e.t_hat for e in plan.entries) // int(rate))
 
     def test_malformed_line_diagnoses_line_number(self, tmp_path, capsys):
         sched = tmp_path / "s.txt"
@@ -227,6 +259,30 @@ class TestSimRun:
             capsys, tmp_path, "fromplan", "--schedule", str(plan_file), "--rounds", "12",
         )
         assert summary["reports"] == 3
+
+    def test_default_parameters_reject_a_narrow_data_field(self, capsys, tmp_path):
+        # 512-bit reports need 24 + 64 bytes plus a 2-byte prefix; the
+        # default 64-byte sub-field cannot carry them.
+        sched = tmp_path / "s.txt"
+        sched.write_text(SCHED_TEXT)
+        argv = ("sim", "run", "--devices", "4", "--schedule", str(sched))
+        code, _, err = run_cli(capsys, *argv, "--out-dir", str(tmp_path / "narrow"))
+        assert code == cli.EXIT_USAGE
+        assert "at least 90" in err
+        code, stdout, _ = run_cli(
+            capsys, *argv, "--data-per-device", "90", "--out-dir", str(tmp_path / "wide")
+        )
+        assert code == 0
+        assert json.loads(stdout)["reports"] == 4
+
+    def test_protocol_error_has_its_own_exit_code(self, capsys, tmp_path, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise protocol.ProtocolError("record exceeds sub-field capacity")
+
+        monkeypatch.setattr(simnet, "run", refuse)
+        code, _, err = run_cli(capsys, "sim", "run", "--out-dir", str(tmp_path / "x"))
+        assert code == cli.EXIT_PROTOCOL
+        assert "protocol failure" in err
 
     def test_env_seed_fallback(self, capsys, tmp_path, monkeypatch):
         dir_a, _ = self.run_ring(capsys, tmp_path, "flagged")

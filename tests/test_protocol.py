@@ -129,6 +129,60 @@ class TestDeviceOnToken:
         parsed = token.token_parse(forwarded, REGISTRY.ring_key, LAYOUT)
         assert parsed.counter == N - 1
 
+    @pytest.mark.parametrize(
+        "damage, error",
+        [
+            (lambda f: f[:20] + bytes([f[20] ^ 0x40]) + f[21:], crypto.AuthenticationError),
+            (lambda f: f[:-1], crypto.FramingError),
+            (lambda f: f + b"\x00", crypto.FramingError),
+        ],
+        ids=["tampered", "short", "long"],
+    )
+    def test_bad_frame_raises_and_leaves_state_alone(self, damage, error):
+        hub, devices = make_ring()
+        hub, now = run_round(hub, devices, 0)
+        device = devices[2]
+        protocol.enqueue_upload(device, b"queued reading")
+        before = (
+            device.seal_count,
+            set(device.seen_token_ids),
+            list(device.events),
+            list(device.upload_queue),
+        )
+        hub, frame = protocol.hub_emit_token(hub, now)
+        with pytest.raises(error):
+            protocol.device_on_token(device, damage(frame), now + 5)
+        after = (
+            device.seal_count,
+            set(device.seen_token_ids),
+            list(device.events),
+            list(device.upload_queue),
+        )
+        assert after == before
+
+    def test_hop_edits_only_counter_toggle_and_own_subfield(self):
+        hub, devices = make_ring()
+        device = devices[1]
+        protocol.enqueue_upload(device, b"one")
+        protocol.enqueue_upload(device, b"two")
+        now = 0
+        hub, now = run_round(hub, devices, now)  # device 2 raises its bit
+        hub, frame = protocol.hub_emit_token(hub, now)  # grant round
+        _, frame = protocol.device_on_token(devices[0], frame, now + 5)
+        before = token.token_parse(frame, REGISTRY.ring_key, LAYOUT)
+        _, frame = protocol.device_on_token(device, frame, now + 10)
+        after = token.token_parse(frame, REGISTRY.ring_key, LAYOUT)
+
+        start, end = LAYOUT.subfield_bounds(device.slot_index)
+        allowed = set(range(12, 16))  # counter
+        allowed.add(16 + device.slot_index // 8)  # its toggle byte
+        allowed.update(range(LAYOUT.data_at + start, LAYOUT.data_at + end))
+        changed = {i for i, (a, b) in enumerate(zip(before.buf, after.buf)) if a != b}
+        assert changed <= allowed
+        assert changed & set(range(LAYOUT.data_at + start, LAYOUT.data_at + end))
+        assert after.counter == before.counter - 1
+        assert after.command_field == before.command_field
+
     def test_duplicate_token_id_not_reprocessed(self):
         hub, devices = make_ring()
         order = protocol.owner_create_order(build_plan(), REGISTRY)
@@ -213,6 +267,16 @@ class TestUploadFlow:
         hub, now = run_round(hub, devices, now)  # round 2: grant and upload
         assert hub.recovered == [(2, 2, payload)]
         assert hub.requests == set()
+
+    def test_full_width_upload_recovered_byte_exactly(self):
+        hub, devices = make_ring()
+        start, end = LAYOUT.subfield_bounds(3)
+        payload = bytes(range(256))[: end - start - 2]  # fills the sub-field
+        protocol.enqueue_upload(devices[3], payload)
+        now = 0
+        for _ in range(2):
+            hub, now = run_round(hub, devices, now)
+        assert hub.recovered == [(2, 4, payload)]
 
     def test_oversized_record_rejected_at_enqueue(self):
         _, devices = make_ring()

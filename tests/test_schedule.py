@@ -197,14 +197,14 @@ class TestSlotHelpers:
     def test_slot_length_is_max_t_hat(self):
         order = make_order(3, [])
         plan = schedule.compile(order, REGISTRY, PARAMS, [3, 5, 7], base_t_hat=3)
-        assert schedule.slot_length(plan) == max(e.t_hat for e in plan.entries)
-        assert plan.slot_length == schedule.slot_length(plan)
+        assert plan.squarings_per_unit == 1
+        assert plan.slot_length == max(e.t_hat for e in plan.entries)
 
     def test_slot_length_empty_plan(self):
         plan = schedule.compile(
             schedule.PartialOrder(devices=(), pairs=()), REGISTRY, PARAMS, [1, 2]
         )
-        assert schedule.slot_length(plan) == 0
+        assert plan.slot_length == 0
 
     def test_slots_required(self):
         assert schedule.slots_required(5, 2) == 4

@@ -194,6 +194,28 @@ class TestPlanExecution:
         _, _, stats = simnet.run(config, plan, script=order.effective_script())
         assert stats["uploads_recovered"] == bare_stats["uploads_recovered"] + 1
 
+    def test_report_width_checked_before_the_run(self):
+        params = crypto.gen_params(128, rng_seed=9)
+
+        def run_with(data_per_device):
+            config = small_config(modulus_bits=128, data_per_device=data_per_device, rounds=12)
+            plan = schedule.compile(
+                schedule.parse_schedule_text("device 1\ndevice 2\ndevice 3\n"),
+                simnet.registry_for(config),
+                params,
+                simnet.predicted_forward_times(config),
+                rng_seed=5,
+            )
+            return simnet.run(config, plan)
+
+        # a 128-bit report: 24 + 16 bytes, plus its 2-byte length prefix
+        with pytest.raises(ValueError, match="at least 42"):
+            run_with(41)
+        _, reports, _ = run_with(42)
+        assert len(reports) == 3
+        _, reports, _ = simnet.run(small_config(modulus_bits=128, data_per_device=2))
+        assert reports == []  # padding-only rings need no report width
+
     def test_foreign_plan_is_rejected(self):
         config = small_config()
         other = schedule.parse_schedule_text("device 1\ndevice 2\ndevice 3\n")

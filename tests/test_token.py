@@ -100,6 +100,70 @@ class TestTokenCodec:
         assert token.token_parse(frame, KEY, LAYOUT).counter == -3
 
 
+@st.composite
+def layout_and_fields(draw):
+    n = draw(st.integers(1, 20))
+    slot_size = draw(st.integers(1, 40))
+    subfields = draw(st.booleans())
+    capacity = n * draw(st.integers(0, 12)) if subfields else draw(st.integers(0, 100))
+    layout = token.TokenLayout(n, slot_size, capacity, subfields)
+    fields = dict(
+        token_id=draw(st.integers(0, 2**64 - 1)),
+        round=draw(st.integers(0, 2**32 - 1)),
+        counter=draw(st.integers(-(2**31), 2**31 - 1)),
+        toggle_bits=draw(st.binary(min_size=layout.toggle_bytes, max_size=layout.toggle_bytes)),
+        command_field=tuple(
+            draw(st.binary(min_size=slot_size, max_size=slot_size)) for _ in range(n)
+        ),
+        data_field=draw(st.binary(min_size=capacity, max_size=capacity)),
+    )
+    return layout, fields
+
+
+class TestTokenBuffer:
+    @settings(max_examples=60, deadline=None)
+    @given(layout_and_fields(), st.integers(0, 2**40))
+    def test_roundtrip_over_random_layouts(self, case, nonce):
+        layout, fields = case
+        for t in (token.Token(**fields), token.Token(**fields, layout=layout)):
+            frame = token.token_build(t, KEY, layout, nonce=nonce)
+            assert len(frame) == layout.frame_size
+            parsed = token.token_parse(frame, KEY, layout)
+            assert parsed == t
+            assert {k: getattr(parsed, k) for k in fields} == fields
+
+    def test_layout_checks_every_slot_at_construction(self):
+        fields = random_token(random.Random(13))
+        slots = list(fields.command_field)
+        slots[2] = slots[2][:-1]
+        with pytest.raises(ValueError, match="slot 2"):
+            token.Token(
+                token_id=1, round=1, counter=0, toggle_bits=bytes(1),
+                command_field=tuple(slots), data_field=fields.data_field, layout=LAYOUT,
+            )
+
+    def test_shape_mismatch_with_equal_length_rejected_at_build(self):
+        # 2 slots of 32 bytes seal to the same length as 4 slots of 16.
+        t = random_token(random.Random(14), command_field=(bytes(32), bytes(32)))
+        with pytest.raises(ValueError):
+            token.token_build(t, KEY, LAYOUT, nonce=1)
+
+    def test_in_place_edits_touch_only_their_bytes(self):
+        t = random_token(random.Random(15))
+        t = token.token_parse(token.token_build(t, KEY, LAYOUT, nonce=1), KEY, LAYOUT)
+        before = bytes(t.buf)
+        t.counter -= 1
+        t.set_toggle(2, True)
+        t.xor_subfield(1, b"\xff" * 8)
+        changed = {i for i, (a, b) in enumerate(zip(before, t.buf)) if a != b}
+        start = LAYOUT.data_at + 8
+        assert changed <= set(range(12, 17)) | set(range(start, start + 8))
+        assert token.toggle_read(t) == {2}
+        assert t.subfield(1) == token.data_overwrite(before[start : start + 8], b"\xff" * 8)
+        with pytest.raises(ValueError):
+            t.xor_subfield(1, b"\xff" * 7)
+
+
 class TestDataConcealment:
     def test_known_xor(self):
         assert token.data_overwrite(b"\xa5", b"\x3c") == b"\x99"
