@@ -1,16 +1,12 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    # optional=True: a failed compile falls back to the pure-Python kernel
-    ext = Extension(
-        "ringveil._kernel._seqsquare",
-        ["src/ringveil/_kernel/_seqsquare.pyx"],
-        optional=True,
-    )
-    ext_modules = cythonize([ext], language_level="3")
-
-setup(ext_modules=ext_modules)
+# optional=True: a failed compile falls back to the pure-Python kernel
+setup(
+    ext_modules=[
+        Extension(
+            "ringveil._kernel._seqsquare",
+            ["src/ringveil/_kernel/_seqsquare.c"],
+            optional=True,
+        )
+    ]
+)

@@ -1,6 +1,9 @@
-"""Pure-Python sequential-squaring kernel (fallback when the compiled core is absent)."""
+"""Pure-Python kernel: the fallback when the compiled core is absent, and the
+reference every compiled backend is tested against."""
 
 BACKEND = "pure"
+
+modpow = pow  # trapdoor exponentiation: the built-in is the reference
 
 
 def square_chain(value: int, modulus: int, steps: int) -> int:

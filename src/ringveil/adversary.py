@@ -154,8 +154,7 @@ def record_attack(puzzles, target, *, trials=1000, rng_seed=0) -> float:
         raise ValueError("need at least one puzzle")
     if trials < 1:
         raise ValueError("trials must be positive")
-    digest = crypto.hash_digest(f"{rng_seed}:record-attack".encode())
-    rng = random.Random(int.from_bytes(digest, "big"))
+    rng = random.Random(crypto.derive_seed(rng_seed, "record-attack"))
     slot_size = token.max_wrapped_slot_size(
         max(p.n.bit_length() for p in puzzles)
     )

@@ -10,14 +10,13 @@ geometry fingerprint so any output can be reproduced byte for byte.
 """
 
 import argparse
-import concurrent.futures
 import math
 import json
 import os
 import random
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from ringveil import adversary, crypto, protocol, schedule, simnet
 from ringveil._kernel import BACKEND, square_chain
@@ -28,7 +27,7 @@ EXIT_VERIFY = 2
 EXIT_IO = 3
 EXIT_PROTOCOL = 4
 
-STATS_HEADER = "n_devices,mean_latency_us,var_latency_us,mean_token_bytes"
+STATS_HEADER = ",".join(simnet.STATS_FIELDS)
 
 FAR_FUTURE_US = 2**62
 
@@ -39,10 +38,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _child_seed(seed, label: str) -> int:
-    return int.from_bytes(crypto.hash_digest(f"{seed}:{label}".encode()), "big")
 
 
 def _resolve_seed(value):
@@ -99,6 +94,10 @@ def _config_from_args(args, n_physical, n_virtual=None, topology=simnet.RING):
     )
 
 
+def _stats_line(stats) -> str:
+    return ",".join(str(stats[name]) for name in simnet.STATS_FIELDS)
+
+
 def _write(path, text):
     with open(path, "w") as fh:
         fh.write(text)
@@ -106,7 +105,7 @@ def _write(path, text):
 
 def _params_for(config) -> crypto.PuzzleParams:
     return crypto.gen_params(
-        config.modulus_bits, rng_seed=_child_seed(config.seed, "params")
+        config.modulus_bits, rng_seed=crypto.derive_seed(config.seed, "params")
     )
 
 
@@ -156,13 +155,13 @@ def _cmd_schedule_compile(args):
 
 def _cmd_puzzle_gen(args):
     seed = _resolve_seed(args.seed)
-    rng = random.Random(_child_seed(seed, "puzzle-gen"))
+    rng = random.Random(crypto.derive_seed(seed, "puzzle-gen"))
     if (args.p is None) != (args.q is None):
         raise ValueError("--p and --q must be given together")
     if args.p is not None:
         params = crypto.PuzzleParams.from_primes(args.p, args.q)
     else:
-        params = crypto.gen_params(args.bits, rng_seed=_child_seed(seed, "params"))
+        params = crypto.gen_params(args.bits, rng_seed=crypto.derive_seed(seed, "params"))
     key = args.key if args.key is not None else rng.randrange(params.n)
     a = args.a
     if a is None:
@@ -233,7 +232,7 @@ def _cmd_puzzle_verify(args):
 
 def _cmd_calibrate(args):
     params = crypto.gen_params(
-        args.modulus_bits, rng_seed=_child_seed(_resolve_seed(args.seed), "calibrate")
+        args.modulus_bits, rng_seed=crypto.derive_seed(_resolve_seed(args.seed), "calibrate")
     )
     modulus = params.n
     square_chain(2, modulus, 2000)  # warm the path
@@ -287,11 +286,7 @@ def _cmd_sim_run(args):
     os.makedirs(args.out_dir, exist_ok=True)
     trace_path = os.path.join(args.out_dir, "trace.csv")
     _write(trace_path, simnet.trace_to_csv(trace))
-    stats_row = (
-        f"{stats['n_devices']},{stats['mean_latency_us']},"
-        f"{stats['var_latency_us']},{stats['mean_token_bytes']}"
-    )
-    _write(os.path.join(args.out_dir, "stats.csv"), STATS_HEADER + "\n" + stats_row + "\n")
+    _write(os.path.join(args.out_dir, "stats.csv"), STATS_HEADER + "\n" + _stats_line(stats) + "\n")
     manifest = {
         "seed": config.seed,
         "schedule": args.schedule,
@@ -328,38 +323,10 @@ def _cmd_sim_run(args):
     return EXIT_OK
 
 
-def _sweep_point(payload):
-    fields, n = payload
-    config = replace(
-        simnet.SimConfig(**fields),
-        topology=simnet.RING,
-        n_virtual=n,
-        n_physical=min(fields["n_physical"], n),
-    )
-    _trace, _reports, stats = simnet.run(config)
-    return {
-        "n_devices": n,
-        "mean_latency_us": stats["mean_latency_us"],
-        "var_latency_us": stats["var_latency_us"],
-        "mean_token_bytes": stats["mean_token_bytes"],
-    }
-
-
 def _cmd_sim_sweep(args):
     base = _config_from_args(args, n_physical=args.physical)
-    if args.parallel > 1:
-        payloads = [(asdict(base), n) for n in args.devices]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            rows = list(pool.map(_sweep_point, payloads))
-    else:
-        rows = simnet.latency_sweep(base, args.devices)
-    lines = [STATS_HEADER]
-    for row in rows:
-        lines.append(
-            f"{row['n_devices']},{row['mean_latency_us']},"
-            f"{row['var_latency_us']},{row['mean_token_bytes']}"
-        )
-    text = "\n".join(lines) + "\n"
+    rows = simnet.latency_sweep(base, args.devices, parallel=args.parallel)
+    text = "\n".join([STATS_HEADER] + [_stats_line(row) for row in rows]) + "\n"
     if args.out:
         _write(args.out, text)
     print(text, end="")

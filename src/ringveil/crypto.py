@@ -26,7 +26,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from ringveil._kernel import square_chain
+from ringveil._kernel import modpow, square_chain
 
 NONCE_BYTES = 12
 TAG_BYTES = 16
@@ -35,7 +35,7 @@ DEFAULT_MODULUS_BITS = 512
 MILLER_RABIN_ROUNDS = 40  # error probability at most 4^-40 < 2^-80
 
 # Indirection points so tests can count invocations without timing anything.
-_modpow = pow
+_modpow = modpow
 _square_chain = square_chain
 
 _WRAP_INFO = b"ringveil device wrap v1"
@@ -100,7 +100,7 @@ def _is_probable_prime(candidate: int, rng: random.Random) -> bool:
         r += 1
     for _ in range(MILLER_RABIN_ROUNDS):
         witness = rng.randrange(2, candidate - 1)
-        x = pow(witness, d, candidate)
+        x = modpow(witness, d, candidate)
         if x == 1 or x == candidate - 1:
             continue
         for _ in range(r - 1):
@@ -223,6 +223,14 @@ def sym_open(frame, key: bytes, out=None):
 
 def hash_digest(payload: bytes) -> bytes:
     return hashlib.sha256(payload).digest()
+
+
+def derive_seed(*parts) -> int:
+    """The integer seed named by ``parts``: SHA-256 of them joined with ":".
+
+    One run seed and a label give each purpose its own reproducible stream.
+    """
+    return int.from_bytes(hash_digest(":".join(map(str, parts)).encode()), "big")
 
 
 def sign_order(payload: bytes, secret_key: Ed25519PrivateKey) -> bytes:

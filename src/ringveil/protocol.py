@@ -318,11 +318,10 @@ def make_hub(
     n_virtual: Optional[int] = None,
     rng_seed=0,
 ) -> HubState:
-    seed_bytes = crypto.hash_digest(f"hub:{rng_seed}".encode())
     return HubState(
         layout=layout,
         ring_key=registry.ring_key,
-        rng=random.Random(int.from_bytes(seed_bytes, "big")),
+        rng=random.Random(crypto.derive_seed("hub", rng_seed)),
         n_virtual=n_virtual if n_virtual is not None else layout.n_devices,
     )
 

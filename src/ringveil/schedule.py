@@ -248,7 +248,7 @@ def compile(
     rng = (
         rng_seed
         if isinstance(rng_seed, random.Random)
-        else random.Random(int.from_bytes(crypto.hash_digest(f"plan:{rng_seed}".encode()), "big"))
+        else random.Random(crypto.derive_seed("plan", rng_seed))
     )
     position = {d: i for i, d in enumerate(ring)}
     entries = []

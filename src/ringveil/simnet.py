@@ -22,10 +22,8 @@ STAR_COMMAND_BYTES = 128
 
 _SENSOR_RECORD = b"periodic sensor reading "  # queued for each scripted read
 
-
-def _child_rng(seed, label: str) -> random.Random:
-    digest = crypto.hash_digest(f"{seed}:{label}".encode())
-    return random.Random(int.from_bytes(digest, "big"))
+# The per-run statistics a latency sweep reports, in column order.
+STATS_FIELDS = ("n_devices", "mean_latency_us", "var_latency_us", "mean_token_bytes")
 
 
 @dataclass(frozen=True)
@@ -118,9 +116,8 @@ def registry_for(config: SimConfig) -> crypto.KeyRegistry:
     Plan compilation must use the same registry or no device will be able to
     unwrap its slot.
     """
-    digest = crypto.hash_digest(f"{config.seed}:registry".encode())
     return crypto.KeyRegistry.provision(
-        range(1, config.n_physical + 1), seed=int.from_bytes(digest, "big")
+        range(1, config.n_physical + 1), seed=crypto.derive_seed(config.seed, "registry")
     )
 
 
@@ -201,7 +198,7 @@ def _run_ring(config: SimConfig, plan, script, registry):
         if action[0] == "read":
             protocol.enqueue_upload(devices[action[1]], _SENSOR_RECORD)
 
-    jitter_rng = _child_rng(config.seed, "jitter")
+    jitter_rng = random.Random(crypto.derive_seed(config.seed, "jitter"))
     loop = _EventLoop()
     records = []
     latencies = {}
@@ -280,7 +277,7 @@ def _run_star(config: SimConfig, plan, script):
             ("set", e.device_id, schedule.STATE_ON) for e in plan.entries
         )
     script = tuple(script or ())
-    jitter_rng = _child_rng(config.seed, "jitter")
+    jitter_rng = random.Random(crypto.derive_seed(config.seed, "jitter"))
     loop = _EventLoop()
     records = []
     latencies = []
@@ -340,25 +337,31 @@ def run(config: SimConfig, plan=None, *, script=None, registry=None):
     return trace, reports, stats
 
 
-def latency_sweep(base: SimConfig, device_counts):
-    """One padding-token run per device count, fixed seed, growing frames."""
+def _sweep_row(config: SimConfig) -> dict:
+    _trace, _reports, stats = run(config)
+    return {name: stats[name] for name in STATS_FIELDS}
+
+
+def latency_sweep(base: SimConfig, device_counts, parallel: int = 1):
+    """One padding-token run per device count, fixed seed, growing frames.
+
+    With ``parallel`` above 1 the runs spread over that many worker
+    processes; every run is deterministic, so the rows are the same.
+    """
     if not device_counts:
         raise ValueError("device_counts must be non-empty")
-    rows = []
-    for n in device_counts:
-        config = replace(
-            base,
-            topology=RING,
-            n_virtual=n,
-            n_physical=min(base.n_physical, n),
-        )
-        _trace, _reports, stats = run(config)
-        rows.append(
-            {
-                "n_devices": n,
-                "mean_latency_us": stats["mean_latency_us"],
-                "var_latency_us": stats["var_latency_us"],
-                "mean_token_bytes": stats["mean_token_bytes"],
-            }
-        )
-    return rows
+    configs = [
+        replace(base, topology=RING, n_virtual=n, n_physical=min(base.n_physical, n))
+        for n in device_counts
+    ]
+    if parallel <= 1:
+        return [_sweep_row(config) for config in configs]
+    # imported here so that importing the package does not load them
+    import concurrent.futures
+    import multiprocessing
+
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=min(parallel, len(configs)),
+        mp_context=multiprocessing.get_context("spawn"),
+    ) as pool:
+        return list(pool.map(_sweep_row, configs))
