@@ -1,4 +1,4 @@
-"""Golden digests: two fixed runs must keep producing byte-identical output.
+"""Golden digests: three fixed runs must keep producing byte-identical output.
 
 Each run hashes its trace CSV and every frame sealed during the run (token
 frames, puzzle command ciphertexts and device wraps alike), collected by
@@ -54,6 +54,22 @@ def _scheduled_ring():
     return trace
 
 
+def _star_baseline():
+    # A 300 us command spacing puts each read's response after the next command.
+    config = simnet.SimConfig(
+        n_physical=5, topology="star", jitter=40, rounds=3, seed=31, command_interval=300
+    )
+    script = (
+        ("set", 1, schedule.STATE_ON),
+        ("read", 2),
+        ("set", 3, schedule.STATE_OFF),
+        ("read", 5),
+        ("set", 4, schedule.STATE_ON),
+    )
+    trace, _reports, _stats = simnet.run(config, script=script)
+    return trace
+
+
 @pytest.mark.parametrize(
     "run, trace_digest, frame_digest",
     [
@@ -67,8 +83,14 @@ def _scheduled_ring():
             "341a959f5abc5a8419a30af98e00845e5f8d61bbcd9d021685820f3149d24252",
             "0fea00d1f446cc99fa7cbe4f128c6200344156c83862236b488e1031cc85b4d2",
         ),
+        (
+            # The star baseline seals nothing: its frame digest is that of no bytes.
+            _star_baseline,
+            "717cc7a959c07172b1353092e15d5cb5dcf7b9cd504d12b3ab4d48d71280b06d",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
     ],
-    ids=["padding_ring", "scheduled_ring"],
+    ids=["padding_ring", "scheduled_ring", "star_baseline"],
 )
 def test_golden_digests(monkeypatch, run, trace_digest, frame_digest):
     assert _digests(monkeypatch, run) == (trace_digest, frame_digest)
