@@ -1,80 +1,46 @@
 /*
  * Compiled sequential-squaring and modular-exponentiation kernel.
  *
- * Odd moduli run in Montgomery form over 64-bit limbs (Montgomery, "Modular
- * multiplication without trial division", Math. Comp. 1985), multiplied by
- * coarsely integrated operand scanning, CIOS (Koc, Acar, Kaliski, "Analyzing
- * and comparing Montgomery multiplication algorithms", IEEE Micro 1996).  A
- * value enters Montgomery form once per call and leaves it once; in between,
- * every step of square_chain is exactly one Montgomery squaring, so there is
- * no exponent shortcut on this path.  Moduli of one limb take a dedicated
- * loop.  Even moduli, which Montgomery reduction cannot serve, and moduli
- * wider than MAX_LIMBS limbs run the pure kernel's big-int loop
- * (square_chain) or the built-in pow (modpow).
+ * Odd moduli wider than one 64-bit limb run on libcrypto's BIGNUM Montgomery
+ * arithmetic (Montgomery, "Modular multiplication without trial division",
+ * Math. Comp. 1985), whose x86-64 multiply and square loops use mulx/adcx/adox
+ * (Gueron, "Efficient software implementations of modular exponentiation",
+ * J. Cryptogr. Eng. 2012).  square_chain enters Montgomery form once, makes
+ * exactly one BN_mod_mul_montgomery squaring per step, so there is no exponent
+ * shortcut on this path, and leaves Montgomery form once.  Moduli of one limb
+ * take a dedicated loop, where libcrypto's per-call overhead would dominate.
+ * Even moduli, which Montgomery reduction cannot serve, run the pure kernel's
+ * big-int loop.  modpow is BN_mod_exp_mont_consttime for odd moduli, so its
+ * running time does not depend on the exponent's bits; anything else goes to
+ * the built-in pow.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
+#include <limits.h>
 #include <stdint.h>
-#include <string.h>
+
+#include <openssl/bn.h>
+#include <openssl/err.h>
 
 typedef uint64_t limb_t;
 typedef unsigned __int128 dlimb_t;
 
 #define LIMB_BITS 64
-#define MAX_LIMBS 64 /* 4096-bit moduli */
-#define WINDOW_BITS 4
 /* Squarings between two checks for a pending signal; the interpreter lock
    is released while each batch runs. */
 #define BATCH_STEPS 65536
 
+/* A squaring chain in Montgomery form: over one limb when mont is NULL,
+   otherwise over libcrypto BIGNUMs. */
 typedef struct {
-    Py_ssize_t k;       /* limbs in the modulus */
-    limb_t n[MAX_LIMBS];
-    limb_t ninv;        /* -n^-1 mod 2^64 */
-    PyObject *modulus;  /* borrowed */
-} mont_t;
+    limb_t v, n, ninv; /* one limb: value, modulus, -n^-1 mod 2^64 */
+    BIGNUM *x;
+    BN_MONT_CTX *mont;
+    BN_CTX *ctx;
+} chain_t;
 
-/* out = a * b * 2^(-64k) mod n, for a < n and b < 2^(64k); out may alias
-   a or b.  Each outer step adds a * b[i] and q * n in one pass over the
-   limbs, the two carry chains independent of each other. */
-static void
-mont_mul(limb_t *out, const limb_t *a, const limb_t *b, const mont_t *m)
-{
-    const Py_ssize_t k = m->k;
-    const limb_t *n = m->n;
-    limb_t t[MAX_LIMBS + 1], d[MAX_LIMBS];
-
-    memset(t, 0, (size_t)(k + 1) * sizeof(limb_t));
-    for (Py_ssize_t i = 0; i < k; i++) {
-        const limb_t bi = b[i];
-        dlimb_t c1 = (dlimb_t)a[0] * bi + t[0];
-        const limb_t q = (limb_t)c1 * m->ninv;
-        dlimb_t c2 = ((dlimb_t)q * n[0] + (limb_t)c1) >> LIMB_BITS;
-        c1 >>= LIMB_BITS;
-        for (Py_ssize_t j = 1; j < k; j++) {
-            c1 += (dlimb_t)a[j] * bi + t[j];
-            c2 += (dlimb_t)q * n[j] + (limb_t)c1;
-            t[j - 1] = (limb_t)c2;
-            c1 >>= LIMB_BITS;
-            c2 >>= LIMB_BITS;
-        }
-        c1 += t[k];
-        c2 += (limb_t)c1;
-        t[k - 1] = (limb_t)c2;
-        t[k] = (limb_t)(c1 >> LIMB_BITS) + (limb_t)(c2 >> LIMB_BITS);
-    }
-    /* t < 2n: subtract n once when t >= n. */
-    limb_t borrow = 0;
-    for (Py_ssize_t j = 0; j < k; j++) {
-        dlimb_t diff = (dlimb_t)t[j] - n[j] - borrow;
-        d[j] = (limb_t)diff;
-        borrow = (limb_t)(diff >> LIMB_BITS) & 1;
-    }
-    memcpy(out, (t[k] != 0 || !borrow) ? d : t, (size_t)k * sizeof(limb_t));
-}
-
-/* The one-limb case of mont_mul: a * b * 2^-64 mod n. */
+/* a * b * 2^-64 mod n, for a, b < n. */
 static inline limb_t
 mont_mul1(limb_t a, limb_t b, limb_t n, limb_t ninv)
 {
@@ -86,103 +52,115 @@ mont_mul1(limb_t a, limb_t b, limb_t n, limb_t ninv)
     return (limb_t)(s >= n ? s - n : s);
 }
 
-static void
-mont_squarings(limb_t *x, const mont_t *m, long long steps)
+/* count squarings of c; 0 when a libcrypto call failed.  Touches no Python
+   object, so it runs with the interpreter lock released. */
+static int
+squarings(chain_t *c, long long count)
 {
-    if (m->k == 1) {
-        limb_t v = x[0];
-        const limb_t n = m->n[0], ninv = m->ninv;
-        for (long long i = 0; i < steps; i++)
-            v = mont_mul1(v, v, n, ninv);
-        x[0] = v;
-        return;
+    if (c->mont == NULL) {
+        limb_t v = c->v;
+        for (long long i = 0; i < count; i++)
+            v = mont_mul1(v, v, c->n, c->ninv);
+        c->v = v;
+        return 1;
     }
-    for (long long i = 0; i < steps; i++)
-        mont_mul(x, x, x, m);
+    for (long long i = 0; i < count; i++)
+        if (!BN_mod_mul_montgomery(c->x, c->x, c->x, c->mont, c->ctx))
+            return 0;
+    return 1;
 }
 
-/* value, with 0 <= value < 2^(64k), as k little-endian limbs. */
+/* steps squarings of c in batches, with the interpreter lock released while
+   each batch runs and pending signals handled between batches.  0 on
+   failure, with a Python exception set when a signal handler raised. */
 static int
-to_limbs(PyObject *value, limb_t *out, Py_ssize_t k)
+run_batches(chain_t *c, long long steps)
 {
-    PyObject *raw = PyObject_CallMethod(value, "to_bytes", "ns", k * 8, "little");
-    if (raw == NULL)
-        return -1;
-    const unsigned char *bytes = (const unsigned char *)PyBytes_AS_STRING(raw);
-    for (Py_ssize_t i = 0; i < k; i++) {
-        limb_t w = 0;
-        for (int j = 7; j >= 0; j--)
-            w = (w << 8) | bytes[8 * i + j];
-        out[i] = w;
+    int ok = 1;
+    while (ok && steps > 0) {
+        long long batch = steps < BATCH_STEPS ? steps : BATCH_STEPS;
+        Py_BEGIN_ALLOW_THREADS
+        ok = squarings(c, batch);
+        Py_END_ALLOW_THREADS
+        steps -= batch;
+        if (ok && steps > 0 && PyErr_CheckSignals() < 0)
+            ok = 0;
     }
-    Py_DECREF(raw);
-    return 0;
+    return ok;
 }
 
-/* Set up m for an exact-int modulus > 1.  Returns 1 when the modulus is odd
-   and at most MAX_LIMBS limbs wide, 0 when the caller must fall back, and -1
-   with an exception set. */
-static int
-mont_init(mont_t *m, PyObject *modulus)
+/* Raise for a failed libcrypto call, unless a Python exception is already
+   set, and clear the OpenSSL error queue.  Returns NULL. */
+static PyObject *
+crypto_error(void)
 {
-    PyObject *width = PyObject_CallMethod(modulus, "bit_length", NULL);
+    unsigned long code = ERR_peek_last_error();
+    if (!PyErr_Occurred()) {
+        if (ERR_GET_REASON(code) == ERR_R_MALLOC_FAILURE) {
+            PyErr_NoMemory();
+        } else {
+            char reason[256];
+            ERR_error_string_n(code, reason, sizeof reason);
+            PyErr_Format(PyExc_RuntimeError, "libcrypto BIGNUM call failed: %s", reason);
+        }
+    }
+    ERR_clear_error();
+    return NULL;
+}
+
+/* v.bit_length(); -1 with an exception set. */
+static Py_ssize_t
+bit_length(PyObject *v)
+{
+    PyObject *width = PyObject_CallMethod(v, "bit_length", NULL);
     if (width == NULL)
         return -1;
     Py_ssize_t bits = PyLong_AsSsize_t(width);
     Py_DECREF(width);
-    if (bits < 0)
-        return PyErr_Occurred() ? -1 : 0;
-    if (bits > MAX_LIMBS * LIMB_BITS)
-        return 0;
-    m->k = (bits + LIMB_BITS - 1) / LIMB_BITS;
-    m->modulus = modulus;
-    if (to_limbs(modulus, m->n, m->k) < 0)
-        return -1;
-    const limb_t n0 = m->n[0];
-    if (!(n0 & 1))
-        return 0;
-    /* n0 * n0 == 1 mod 8, so x = n0 inverts n0 to 3 bits; each Newton step
-       doubles that: 6, 12, 24, 48, 96. */
-    limb_t x = n0;
-    for (int i = 0; i < 5; i++)
-        x *= 2 - n0 * x;
-    m->ninv = (limb_t)0 - x;
-    return 1;
+    return bits;
 }
 
-/* (value mod n) * 2^(64k) mod n, the Montgomery form of value. */
-static int
-to_mont(PyObject *value, const mont_t *m, limb_t *out)
+/* A new BIGNUM holding the int v, with 0 <= v < 2^(8 nbytes); NULL on
+   failure. */
+static BIGNUM *
+int_to_bn(PyObject *v, Py_ssize_t nbytes)
 {
-    PyObject *shift = PyLong_FromSsize_t(m->k * LIMB_BITS);
-    if (shift == NULL)
-        return -1;
-    PyObject *wide = PyNumber_Lshift(value, shift);
-    Py_DECREF(shift);
-    if (wide == NULL)
-        return -1;
-    PyObject *reduced = PyNumber_Remainder(wide, m->modulus);
-    Py_DECREF(wide);
+    if (nbytes > INT_MAX) {
+        PyErr_SetString(PyExc_OverflowError, "integer too wide for libcrypto");
+        return NULL;
+    }
+    PyObject *raw = PyObject_CallMethod(v, "to_bytes", "ns", nbytes, "little");
+    if (raw == NULL)
+        return NULL;
+    BIGNUM *bn = BN_lebin2bn((const unsigned char *)PyBytes_AS_STRING(raw), (int)nbytes, NULL);
+    Py_DECREF(raw);
+    return bn;
+}
+
+/* A new BIGNUM holding value % modulus, where modulus fits in nbytes bytes. */
+static BIGNUM *
+residue_to_bn(PyObject *value, PyObject *modulus, Py_ssize_t nbytes)
+{
+    PyObject *reduced = PyNumber_Remainder(value, modulus);
     if (reduced == NULL)
-        return -1;
-    int rc = to_limbs(reduced, out, m->k);
+        return NULL;
+    BIGNUM *bn = int_to_bn(reduced, nbytes);
     Py_DECREF(reduced);
-    return rc;
+    return bn;
 }
 
-/* The int that x, in Montgomery form, stands for. */
+/* The int that bn, below 2^(8 nbytes), holds; NULL on failure. */
 static PyObject *
-from_mont(const limb_t *x, const mont_t *m)
+bn_to_int(const BIGNUM *bn, Py_ssize_t nbytes)
 {
-    limb_t one[MAX_LIMBS] = {1}, plain[MAX_LIMBS];
-    unsigned char bytes[MAX_LIMBS * 8];
-
-    mont_mul(plain, x, one, m);
-    for (Py_ssize_t i = 0; i < m->k; i++)
-        for (int j = 0; j < 8; j++)
-            bytes[8 * i + j] = (unsigned char)(plain[i] >> (8 * j));
-    return PyObject_CallMethod((PyObject *)&PyLong_Type, "from_bytes", "y#s",
-                               (const char *)bytes, m->k * 8, "little");
+    PyObject *raw = PyBytes_FromStringAndSize(NULL, nbytes);
+    if (raw == NULL)
+        return NULL;
+    PyObject *out = NULL;
+    if (BN_bn2lebinpad(bn, (unsigned char *)PyBytes_AS_STRING(raw), (int)nbytes) == nbytes)
+        out = PyObject_CallMethod((PyObject *)&PyLong_Type, "from_bytes", "Os", raw, "little");
+    Py_DECREF(raw);
+    return out;
 }
 
 /* Python's `value op bound` for a small int bound; -1 with an exception set. */
@@ -194,6 +172,54 @@ compare_small(PyObject *value, long bound, int op)
         return -1;
     int result = PyObject_RichCompareBool(value, rhs, op);
     Py_DECREF(rhs);
+    return result;
+}
+
+/* square_chain for an odd modulus of at most one limb. */
+static PyObject *
+limb_chain(PyObject *value, PyObject *modulus, long long steps)
+{
+    PyObject *reduced = PyNumber_Remainder(value, modulus);
+    if (reduced == NULL)
+        return NULL;
+    chain_t c = {.n = PyLong_AsUnsignedLongLongMask(modulus)};
+    limb_t v = PyLong_AsUnsignedLongLong(reduced);
+    Py_DECREF(reduced);
+    if (PyErr_Occurred())
+        return NULL;
+    /* n * n == 1 mod 8, so x = n inverts n to 3 bits; each Newton step
+       doubles that: 6, 12, 24, 48, 96. */
+    limb_t x = c.n;
+    for (int i = 0; i < 5; i++)
+        x *= 2 - c.n * x;
+    c.ninv = (limb_t)0 - x;
+    c.v = (limb_t)(((dlimb_t)v << LIMB_BITS) % c.n);
+    if (!run_batches(&c, steps))
+        return NULL;
+    return PyLong_FromUnsignedLongLong(mont_mul1(c.v, 1, c.n, c.ninv));
+}
+
+/* square_chain for an odd modulus of nbytes bytes, wider than one limb. */
+static PyObject *
+bn_chain(PyObject *value, PyObject *modulus, Py_ssize_t nbytes, long long steps)
+{
+    PyObject *result = NULL;
+    chain_t c = {.ctx = BN_CTX_new(), .mont = BN_MONT_CTX_new()};
+    BIGNUM *n = NULL;
+    if (c.ctx != NULL && c.mont != NULL
+        && (n = int_to_bn(modulus, nbytes)) != NULL
+        && (c.x = residue_to_bn(value, modulus, nbytes)) != NULL
+        && BN_MONT_CTX_set(c.mont, n, c.ctx)
+        && BN_to_montgomery(c.x, c.x, c.mont, c.ctx)
+        && run_batches(&c, steps)
+        && BN_from_montgomery(c.x, c.x, c.mont, c.ctx))
+        result = bn_to_int(c.x, nbytes);
+    if (result == NULL)
+        crypto_error();
+    BN_free(c.x);
+    BN_free(n);
+    BN_MONT_CTX_free(c.mont);
+    BN_CTX_free(c.ctx);
     return result;
 }
 
@@ -244,36 +270,49 @@ square_chain(PyObject *self, PyObject *args, PyObject *kwargs)
     if (steps == -1 && PyErr_Occurred())
         return NULL;
 
-    mont_t m;
-    int fits = 0;
-    if (PyLong_CheckExact(value) && PyLong_CheckExact(modulus)) {
-        fits = mont_init(&m, modulus);
-        if (fits < 0)
-            return NULL;
-    }
-    if (!fits)
+    if (!PyLong_CheckExact(value) || !PyLong_CheckExact(modulus)
+        || !(PyLong_AsUnsignedLongLongMask(modulus) & 1))
         return bigint_chain(value, modulus, steps);
-
-    limb_t x[MAX_LIMBS];
-    if (to_mont(value, &m, x) < 0)
+    Py_ssize_t bits = bit_length(modulus);
+    if (bits < 0)
         return NULL;
-    while (steps > 0) {
-        long long batch = steps < BATCH_STEPS ? steps : BATCH_STEPS;
-        Py_BEGIN_ALLOW_THREADS
-        mont_squarings(x, &m, batch);
-        Py_END_ALLOW_THREADS
-        steps -= batch;
-        if (steps > 0 && PyErr_CheckSignals() < 0)
-            return NULL;
-    }
-    return from_mont(x, &m);
+    if (bits <= LIMB_BITS)
+        return limb_chain(value, modulus, steps);
+    return bn_chain(value, modulus, (bits + 7) / 8, steps);
+}
+
+/* BN_mod_exp_mont_consttime for exact ints, exp >= 0 and an odd modulus
+   of nbytes bytes. */
+static PyObject *
+bn_modpow(PyObject *base, PyObject *exp, PyObject *modulus, Py_ssize_t nbytes)
+{
+    Py_ssize_t exp_bits = bit_length(exp);
+    if (exp_bits < 0)
+        return NULL;
+    PyObject *result = NULL;
+    BN_CTX *ctx = BN_CTX_new();
+    BIGNUM *r = BN_new(), *n = NULL, *a = NULL, *e = NULL;
+    if (ctx != NULL && r != NULL
+        && (n = int_to_bn(modulus, nbytes)) != NULL
+        && (a = residue_to_bn(base, modulus, nbytes)) != NULL
+        && (e = int_to_bn(exp, (exp_bits + 7) / 8)) != NULL
+        && BN_mod_exp_mont_consttime(r, a, e, n, ctx, NULL))
+        result = bn_to_int(r, nbytes);
+    if (result == NULL)
+        crypto_error();
+    BN_clear_free(e);
+    BN_free(a);
+    BN_free(n);
+    BN_free(r);
+    BN_CTX_free(ctx);
+    return result;
 }
 
 PyDoc_STRVAR(modpow_doc,
 "modpow(base, exp, modulus)\n--\n\n"
-"pow(base, exp, modulus): a fixed 4-bit-window Montgomery exponentiation for\n"
-"odd moduli; the built-in pow for even or oversize moduli, negative\n"
-"exponents and anything but exact ints.");
+"pow(base, exp, modulus): libcrypto's constant-time Montgomery exponentiation\n"
+"for odd moduli above 1 and non-negative exponents; the built-in pow for\n"
+"even moduli, negative exponents and anything but exact ints.");
 
 static PyObject *
 modpow(PyObject *self, PyObject *args)
@@ -282,60 +321,18 @@ modpow(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "OOO:modpow", &base, &exp, &modulus))
         return NULL;
 
-    mont_t m;
-    int fits = 0;
     if (PyLong_CheckExact(base) && PyLong_CheckExact(exp) && PyLong_CheckExact(modulus)) {
-        int plain = compare_small(exp, 0, Py_GE);
-        if (plain > 0)
-            plain = compare_small(modulus, 1, Py_GT);
-        if (plain > 0)
-            fits = mont_init(&m, modulus);
-        if (plain < 0 || fits < 0)
+        int fits = compare_small(exp, 0, Py_GE);
+        if (fits > 0)
+            fits = compare_small(modulus, 1, Py_GT);
+        if (fits < 0)
             return NULL;
-    }
-    if (!fits)
-        return PyNumber_Power(base, exp, modulus);
-
-    PyObject *width = PyObject_CallMethod(exp, "bit_length", NULL);
-    if (width == NULL)
-        return NULL;
-    Py_ssize_t nbytes = (PyLong_AsSsize_t(width) + 7) / 8;
-    Py_DECREF(width);
-    PyObject *raw = PyObject_CallMethod(exp, "to_bytes", "ns", nbytes, "little");
-    if (raw == NULL)
-        return NULL;
-    const unsigned char *e = (const unsigned char *)PyBytes_AS_STRING(raw);
-
-    /* table[i] = base**i in Montgomery form; table[0] is 1. */
-    limb_t table[1 << WINDOW_BITS][MAX_LIMBS], acc[MAX_LIMBS];
-    PyObject *one = PyLong_FromLong(1);
-    int rc = one == NULL ? -1 : to_mont(one, &m, table[0]);
-    Py_XDECREF(one);
-    if (rc < 0 || to_mont(base, &m, table[1]) < 0) {
-        Py_DECREF(raw);
-        return NULL;
-    }
-    for (int i = 2; i < (1 << WINDOW_BITS); i++)
-        mont_mul(table[i], table[i - 1], table[1], &m);
-
-    memcpy(acc, table[0], (size_t)m.k * sizeof(limb_t));
-    int started = 0;
-    for (Py_ssize_t i = 2 * nbytes - 1; i >= 0; i--) {
-        unsigned digit = (e[i / 2] >> (4 * (i % 2))) & 0xF;
-        if (started)
-            for (int s = 0; s < WINDOW_BITS; s++)
-                mont_mul(acc, acc, acc, &m);
-        if (digit == 0)
-            continue;
-        if (started) {
-            mont_mul(acc, acc, table[digit], &m);
-        } else {
-            memcpy(acc, table[digit], (size_t)m.k * sizeof(limb_t));
-            started = 1;
+        if (fits && (PyLong_AsUnsignedLongLongMask(modulus) & 1)) {
+            Py_ssize_t bits = bit_length(modulus);
+            return bits < 0 ? NULL : bn_modpow(base, exp, modulus, (bits + 7) / 8);
         }
     }
-    Py_DECREF(raw);
-    return from_mont(acc, &m);
+    return PyNumber_Power(base, exp, modulus);
 }
 
 static PyMethodDef kernel_methods[] = {
@@ -348,7 +345,7 @@ static PyMethodDef kernel_methods[] = {
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     "_seqsquare",
-    "Montgomery sequential-squaring and exponentiation kernel in C.",
+    "Sequential-squaring and exponentiation kernel on libcrypto's Montgomery arithmetic.",
     -1,
     kernel_methods,
 };
@@ -357,7 +354,7 @@ PyMODINIT_FUNC
 PyInit__seqsquare(void)
 {
     PyObject *module = PyModule_Create(&kernel_module);
-    if (module != NULL && PyModule_AddStringConstant(module, "BACKEND", "montgomery-c") < 0)
+    if (module != NULL && PyModule_AddStringConstant(module, "BACKEND", "openssl-bn") < 0)
         Py_CLEAR(module);
     return module;
 }

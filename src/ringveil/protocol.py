@@ -305,7 +305,6 @@ class HubState:
     pending_grants: set = field(default_factory=set)
     requests: set = field(default_factory=set)
     t_beg: dict = field(default_factory=dict)
-    t_end: dict = field(default_factory=dict)
     recovered: list = field(default_factory=list)  # (round, device_id, payload)
     seal_count: int = 0
     events: list = field(default_factory=list)
@@ -394,7 +393,6 @@ def hub_on_token(state: HubState, frame: bytes, now: int) -> HubState:
     """Finish a round: recover granted uploads, collect new requests."""
     t = token.token_parse(frame, state.ring_key, state.layout)
     state.events.append(format_event(t.round, HUB_ID, "rcv", now))
-    state.t_end[t.round] = now
 
     b_r = state.random_field_log.pop(t.round, None)
     returned_bits = token.toggle_read(t)

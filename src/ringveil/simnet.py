@@ -55,8 +55,8 @@ class SimConfig:
             raise ValueError("jitter bound must stay below the hop latency")
         if min(self.hop_latency, self.bandwidth, self.squarings_per_tick, self.rounds) < 1:
             raise ValueError("latency, bandwidth, squaring rate, and rounds must be positive")
-        if self.hold < 0:
-            raise ValueError("hold time cannot be negative")
+        if min(self.hold, self.command_interval) < 0:
+            raise ValueError("hold time and command interval cannot be negative")
 
     def fingerprint(self) -> str:
         """Geometry hash used to refuse apples-to-oranges view comparisons.
@@ -132,7 +132,7 @@ def predicted_forward_times(config: SimConfig):
     return [(p + 1) * per_hop for p in range(config.n_physical)]
 
 
-_EMIT, _DEVICE_RX, _HUB_RX, _SOLVE, _STAR_CMD = range(5)
+_EMIT, _DEVICE_RX, _HUB_RX, _SOLVE = range(4)
 
 
 class _EventLoop:
@@ -240,7 +240,7 @@ def _run_ring(config: SimConfig, plan, script, registry):
             src, dst, frame = data
             records.append((now, src, dst, len(frame), current_round))
             hub = protocol.hub_on_token(hub, frame, now)
-            latencies[current_round] = now - hub.t_beg[current_round]
+            latencies[current_round] = now - hub.t_beg.pop(current_round)
             if hub.round < config.rounds:
                 loop.push(now + config.hold, _EMIT)
         elif kind == _SOLVE:
@@ -278,21 +278,14 @@ def _run_star(config: SimConfig, plan, script):
         )
     script = tuple(script or ())
     jitter_rng = random.Random(crypto.derive_seed(config.seed, "jitter"))
-    loop = _EventLoop()
     records = []
     latencies = []
 
     def wobble():
         return jitter_rng.randint(0, config.jitter) if config.jitter else 0
 
-    ordinal = 0
-    for _rep in range(config.rounds):
-        for action in script:
-            ordinal += 1
-            loop.push((ordinal - 1) * config.command_interval, _STAR_CMD, (ordinal, action))
-
-    for now, _kind, data in loop:
-        ordinal, action = data
+    for ordinal, action in enumerate(script * config.rounds, start=1):
+        now = (ordinal - 1) * config.command_interval
         device_id = action[1]
         cmd_arrival = now + config.hop_latency + wobble() + transmit_time(config, STAR_COMMAND_BYTES)
         records.append((cmd_arrival, protocol.HUB_ID, device_id, STAR_COMMAND_BYTES, ordinal))

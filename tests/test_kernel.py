@@ -1,8 +1,10 @@
 """Every importable squaring-kernel backend against the pure-Python reference."""
 
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +22,9 @@ else:
 
 backends = pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
 
-# 63/64/65 bits straddle the one-limb path; 127-129 the two-limb boundary.
-WIDTHS = [2, 3, 8, 32, 63, 64, 65, 127, 128, 129, 256, 512, 1024, 2048]
+# 63/64/65 bits straddle the one-limb path; 127-129 the two-limb boundary;
+# 4097 and 8192 lie above the 4096-bit cap of earlier compiled kernels.
+WIDTHS = [2, 3, 8, 32, 63, 64, 65, 127, 128, 129, 256, 512, 1024, 2048, 4097, 8192]
 EDGE_MODULI = [2, 3, 4, 2**63 - 1, 2**63 + 1, 2**64 - 59, 2**64 - 1, 2**64,
                2**64 + 1, 2**65 - 1, 2**128 - 1, 2**2048 - 1]
 
@@ -87,12 +90,36 @@ def test_values_whose_square_vanishes(backend, p, e):
         st.sampled_from([0, 1, 2, -1, -2]),
         st.integers(0, 2**64),
         st.integers(0, 2**2100),
+        st.integers(2**2100, 2**2400),  # wider than every modulus up to 2048 bits
         st.integers(-(2**70), -1),
     ),
 )
 def test_modpow_matches_builtin_pow(backend, data, n, exp):
     base = data.draw(values(abs(n) + 1))
     assert outcome(backend.modpow, base, exp, n) == outcome(pow, base, exp, n)
+
+
+@backends
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+def test_signal_handler_interrupts_long_chain(backend):
+    # Run to the end, this chain takes tens of seconds; the handler's exception
+    # must surface within one batch of squarings after the alarm.
+    class Alarm(Exception):
+        pass
+
+    def on_alarm(signum, frame):
+        raise Alarm
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    start = time.perf_counter()
+    signal.setitimer(signal.ITIMER_REAL, 0.05)
+    try:
+        with pytest.raises(Alarm):
+            backend.square_chain(3, 2**2048 - 1, 20_000_000)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 5
 
 
 @backends

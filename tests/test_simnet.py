@@ -48,6 +48,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(topology="mesh")
 
+    @pytest.mark.parametrize("name", ["hold", "command_interval"])
+    def test_rejects_negative_spacing(self, name):
+        with pytest.raises(ValueError):
+            small_config(**{name: -1})
+
     def test_fingerprint_ignores_rounds_seed_topology(self):
         a = small_config().fingerprint()
         assert small_config(rounds=50, seed=1, topology="star").fingerprint() == a
@@ -55,6 +60,14 @@ class TestConfig:
 
 
 class TestRingConservation:
+    def test_hub_keeps_no_emit_times_after_the_run(self):
+        config = small_config(rounds=50)
+        _trace, _reports, _stats, hub, _devices = simnet._run_ring(
+            config, None, None, simnet.registry_for(config)
+        )
+        assert hub.round == 50
+        assert hub.t_beg == {}
+
     def test_one_record_per_crossing_plus_return(self):
         trace, _, _ = simnet.run(small_config())
         for r in range(1, 6):
