@@ -23,7 +23,7 @@ else:
 backends = pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
 
 # 63/64/65 bits straddle the one-limb path; 127-129 the two-limb boundary;
-# 4097 and 8192 lie above the 4096-bit cap of earlier compiled kernels.
+# 4097 and 8192 bits take moduli past 64 limbs.
 WIDTHS = [2, 3, 8, 32, 63, 64, 65, 127, 128, 129, 256, 512, 1024, 2048, 4097, 8192]
 EDGE_MODULI = [2, 3, 4, 2**63 - 1, 2**63 + 1, 2**64 - 59, 2**64 - 1, 2**64,
                2**64 + 1, 2**65 - 1, 2**128 - 1, 2**2048 - 1]
