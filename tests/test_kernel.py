@@ -20,7 +20,11 @@ except ImportError:  # extension not built: only the reference runs
 else:
     BACKENDS.append(_seqsquare)
 
-backends = pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.BACKEND)
+# Case ids name the implementation, pure Python or the compiled Montgomery
+# extension, and stay fixed when the extension's BACKEND string changes.
+backends = pytest.mark.parametrize(
+    "backend", BACKENDS, ids=lambda b: "pure" if b is pure else "montgomery-c"
+)
 
 # 63/64/65 bits straddle the one-limb path; 127-129 the two-limb boundary;
 # 4097 and 8192 bits take moduli past 64 limbs.
