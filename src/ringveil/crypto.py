@@ -1,8 +1,11 @@
 """Time-lock puzzle primitives, authenticated token encryption, and order signing.
 
 A puzzle hides a key k behind t_hat inherently sequential modular squarings:
-e_k = (k + a^(2^t_hat)) mod n.  Whoever knows phi(n) collapses the chain to two
-modular exponentiations; everyone else must do the squarings one at a time.
+e_k = (k + a^(2^t_hat)) mod n.  A trapdoor collapses the chain; everyone else
+must do the squarings one at a time.  The owner holds the factors p and q
+(PuzzleParams) and evaluates the chain by the Chinese remainder theorem, in two
+half-width exponentiations mod p and mod q.  A holder of phi(n) alone reduces
+the exponent mod phi(n) and makes one exponentiation mod n.
 The same module supplies the symmetric AE used to seal tokens, Ed25519
 signatures for owner orders, and the key registry that provisions a ring.
 """
@@ -11,6 +14,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import serialization
@@ -66,6 +70,11 @@ class PuzzleParams:
             raise ValueError("prime factors must differ")
         n = p * q
         return cls(p=p, q=q, n=n, phi=(p - 1) * (q - 1), bit_length=n.bit_length())
+
+    @cached_property
+    def q_inv(self) -> int:
+        """q^-1 mod p, the coefficient of the Garner recombination."""
+        return pow(self.q, -1, self.p)
 
 
 @dataclass(frozen=True)
@@ -151,7 +160,7 @@ def puzzle_create(
     key: int,
     t_val: int,
 ) -> Puzzle:
-    """Build a puzzle cheaply via the phi(n) shortcut (two exponentiations)."""
+    """Build a puzzle cheaply through the owner's trapdoor (CRT over p and q)."""
     n = params.n
     if not 1 < a < n:
         raise ValueError("base a must satisfy 1 < a < n")
@@ -161,9 +170,7 @@ def puzzle_create(
         raise ValueError("key must be a non-negative integer below n")
     if t_hat < 0:
         raise ValueError("t_hat must be non-negative")
-    reduced = _modpow(2, t_hat, params.phi)
-    b = _modpow(a, reduced, n)
-    e_k = (key + b) % n
+    e_k = (key + _trapdoor_residue(params, a, t_hat)) % n
     # Fresh key per puzzle, so a fixed nonce is safe here.
     e_z = sym_seal(command, _key_to_aes(key), 0)
     return Puzzle(n=n, a=a, t_hat=t_hat, e_k=e_k, e_z=e_z, t_val=t_val)
@@ -190,9 +197,31 @@ def recover_solution(puzzle: Puzzle, residue: int, squarings_performed: int) -> 
     return PuzzleSolution(key=key, command=command, squarings_performed=squarings_performed)
 
 
-def puzzle_fast_eval(puzzle: Puzzle, phi: int) -> int:
-    """Creator-side evaluation of a^(2^t_hat) mod n in two exponentiations."""
-    reduced = _modpow(2, puzzle.t_hat, phi)
+def _trapdoor_residue(params: PuzzleParams, a: int, t_hat: int) -> int:
+    """a^(2^t_hat) mod n from the factors, by the Chinese remainder theorem.
+
+    Mod each prime k the exponent 2^t_hat reduces mod k-1 (Fermat), so the
+    secret-exponent calls are half-width and on odd moduli; Garner's formula
+    joins the halves.  The reduced exponent is taken in [1, k-1], not
+    [0, k-2], so that a multiple of k still maps to 0.
+    """
+    p, q = params.p, params.q
+    x_p = _modpow(a, _modpow(2, t_hat, p - 1) or p - 1, p)
+    x_q = _modpow(a, _modpow(2, t_hat, q - 1) or q - 1, q)
+    return x_q + q * ((x_p - x_q) * params.q_inv % p)
+
+
+def puzzle_fast_eval(puzzle: Puzzle, trapdoor) -> int:
+    """Creator-side evaluation of a^(2^t_hat) mod n through a trapdoor.
+
+    With the owner's PuzzleParams it runs by CRT: the exponent reduced mod
+    p-1 and q-1, then one exponentiation mod p and one mod q.  With a bare
+    phi(n) int it runs a^(2^t_hat mod phi) mod n: two exponentiations, the
+    second one mod n.
+    """
+    if isinstance(trapdoor, PuzzleParams):
+        return _trapdoor_residue(trapdoor, puzzle.a, puzzle.t_hat)
+    reduced = _modpow(2, puzzle.t_hat, trapdoor)
     return _modpow(puzzle.a, reduced, puzzle.n)
 
 

@@ -6,7 +6,7 @@ round's token identical in shape: unused slots and the data field carry fresh
 random bytes.  Devices pull their slot, solve the puzzle between token
 arrivals, actuate when the squaring chain completes, and push execution
 reports back through the XOR-concealed data field.  The owner finally checks
-each report against the phi(n) shortcut and the plan's ordering constraints.
+each report against its trapdoor and the plan's ordering constraints.
 """
 
 import random
@@ -139,7 +139,7 @@ class DeviceState:
     actuated: Optional[tuple] = None  # (command bytes, t_com)
     upload_queue: list = field(default_factory=list)
     toggle_requested: bool = False
-    seen_token_ids: set = field(default_factory=set)
+    last_token_id: int = 0  # newest token processed; hub token ids only increase
     seal_count: int = 0
     last_counter: int = 0
     events: list = field(default_factory=list)
@@ -214,9 +214,8 @@ def device_on_token(state: DeviceState, frame: bytes, now: int, forward_at=None)
     state.events.append(format_event(round_no, state.device_id, "rcv", now))
     t.counter -= 1
 
-    token_id = t.token_id
-    if token_id not in state.seen_token_ids:
-        state.seen_token_ids.add(token_id)
+    if t.token_id > state.last_token_id:
+        state.last_token_id = t.token_id
         _try_take_puzzle(state, t, now)
 
         uploaded = False
@@ -423,7 +422,8 @@ def collect_reports(state: HubState):
 def owner_verify_execution(
     reports, params: crypto.PuzzleParams, plan: schedule.SchedulePlan
 ) -> bool:
-    """Check every report's residue via the phi(n) shortcut, then the ordering."""
+    """Check every report's residue through the owner's trapdoor (CRT over the
+    factors in ``params``), then the ordering."""
     by_device = {}
     for report in reports:
         if plan.entry_for(report.device_id) is None:
@@ -438,7 +438,7 @@ def owner_verify_execution(
             return False
         if report.t_hat != entry.t_hat:
             return False
-        if report.solution != crypto.puzzle_fast_eval(entry.puzzle, params.phi):
+        if report.solution != crypto.puzzle_fast_eval(entry.puzzle, params):
             return False
 
     for earlier, later in plan.pairs:

@@ -1,11 +1,12 @@
 """Unit tests for the time-lock puzzle and key-management primitives."""
 
+import functools
 import math
 import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringveil import crypto
@@ -181,6 +182,103 @@ class TestFastEval:
         assert crypto.puzzle_fast_eval(puzzle, params.phi) == repeated_squaring(
             a, params.n, t_hat
         )
+
+
+
+# Primes whose p-1 is a power of two: 2^t_hat mod (p-1) is 0 once t_hat is
+# large enough, the one case where the CRT half takes the exponent p-1.
+FERMAT_PRIMES = [5, 17, 257]
+TRAPDOOR_PRIMES = sorted(set(SMALL_PRIMES) | set(FERMAT_PRIMES))
+
+
+@functools.cache
+def params_2048():
+    return crypto.gen_params(2048, 2048)
+
+
+class TestOwnerTrapdoor:
+    """puzzle_fast_eval with the owner's PuzzleParams, evaluated by CRT."""
+
+    def assert_all_paths_agree(self, params, a, t_hat):
+        puzzle = crypto.puzzle_create(params, a, t_hat, b"", 0, 0)
+        expected = crypto.square_chain(a, params.n, t_hat)
+        assert crypto.puzzle_fast_eval(puzzle, params) == expected
+        assert crypto.puzzle_fast_eval(puzzle, params.phi) == expected
+        assert puzzle.e_k == expected
+
+    @settings(max_examples=150)
+    @given(
+        p=st.sampled_from(TRAPDOOR_PRIMES),
+        q=st.sampled_from(TRAPDOOR_PRIMES),
+        a_raw=st.integers(2, 10**6),
+        t_hat=st.integers(0, 40),
+    )
+    @example(p=5, q=17, a_raw=3, t_hat=0)
+    @example(p=5, q=17, a_raw=3, t_hat=1)
+    @example(p=5, q=17, a_raw=3, t_hat=2)  # e_p = 0
+    @example(p=17, q=257, a_raw=10, t_hat=8)  # e_p = e_q = 0
+    @example(p=257, q=3, a_raw=2, t_hat=9)  # e_p = e_q = 0
+    @example(p=11, q=257, a_raw=7, t_hat=1)
+    def test_matches_phi_path_and_squaring_chain(self, p, q, a_raw, t_hat):
+        if p == q:
+            return
+        params = crypto.PuzzleParams.from_primes(p, q)
+        a = 2 + a_raw % (params.n - 2)
+        if math.gcd(a, params.n) != 1:
+            return
+        self.assert_all_paths_agree(params, a, t_hat)
+
+    @pytest.mark.parametrize("t_hat", [0, 1, 2, 4096, 70_001])
+    def test_2048_bit_params(self, t_hat):
+        params = params_2048()
+        a = random.Random(t_hat).randrange(2, params.n)
+        self.assert_all_paths_agree(params, a, t_hat)
+
+    @pytest.mark.parametrize("p,q", [(5, 17), (17, 257), (3, 11), (2, 7)])
+    @pytest.mark.parametrize("t_hat", [0, 1, 2, 8, 9])
+    def test_exact_for_a_base_sharing_a_factor(self, p, q, t_hat):
+        # puzzle_create refuses such bases; a foreign puzzle may still carry one.
+        params = crypto.PuzzleParams.from_primes(p, q)
+        for a in (p, 2 * p, q):
+            puzzle = crypto.Puzzle(n=params.n, a=a, t_hat=t_hat, e_k=0, e_z=b"", t_val=0)
+            assert crypto.puzzle_fast_eval(puzzle, params) == repeated_squaring(
+                a, params.n, t_hat
+            )
+
+
+class TestTrapdoorSeam:
+    """Every exponentiation of the CRT path goes through crypto._modpow."""
+
+    PARAMS = crypto.gen_params(256, 31)
+
+    def record(self, monkeypatch):
+        calls = []
+
+        def counting_modpow(base, exp, modulus):
+            calls.append((base, exp, modulus))
+            return crypto.modpow(base, exp, modulus)
+
+        monkeypatch.setattr(crypto, "_modpow", counting_modpow)
+        return calls
+
+    def assert_crt_calls(self, calls, a, t_hat):
+        p, q = self.PARAMS.p, self.PARAMS.q
+        e_p = pow(2, t_hat, p - 1) or p - 1
+        e_q = pow(2, t_hat, q - 1) or q - 1
+        assert calls == [(2, t_hat, p - 1), (a, e_p, p), (2, t_hat, q - 1), (a, e_q, q)]
+
+    @pytest.mark.parametrize("t_hat", [0, 1, 255, 256, 10**6, 2**40])
+    def test_fast_eval_makes_four_exponentiations(self, monkeypatch, t_hat):
+        puzzle = crypto.puzzle_create(self.PARAMS, 3, t_hat, b"", 0, 0)
+        calls = self.record(monkeypatch)
+        crypto.puzzle_fast_eval(puzzle, self.PARAMS)
+        self.assert_crt_calls(calls, 3, t_hat)
+
+    @pytest.mark.parametrize("t_hat", [0, 1, 255, 256, 10**6, 2**40])
+    def test_create_makes_four_exponentiations(self, monkeypatch, t_hat):
+        calls = self.record(monkeypatch)
+        crypto.puzzle_create(self.PARAMS, 5, t_hat, b"on", 7, 0)
+        self.assert_crt_calls(calls, 5, t_hat)
 
 
 class TestSymmetricSeal:

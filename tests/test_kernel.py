@@ -154,6 +154,20 @@ solution = crypto.puzzle_solve(puzzle)
 assert solution.command == b"on" and solution.squarings_performed == 500
 residue = crypto.puzzle_fast_eval(puzzle, params.phi)
 assert (puzzle.e_k - residue) % puzzle.n == solution.key
+
+# The owner's audit runs the CRT trapdoor through the pure kernel too.
+from dataclasses import replace
+from ringveil import protocol, schedule, simnet
+config = simnet.SimConfig(n_physical=3, rounds=14, modulus_bits=64, seed=7)
+order = schedule.parse_schedule_text("device 1\\ndevice 2\\ndevice 3\\npair 1 2\\n")
+plan = schedule.compile(order, simnet.registry_for(config), params,
+                        simnet.predicted_forward_times(config), rng_seed=5,
+                        squarings_per_unit=config.squarings_per_tick)
+_trace, reports, _stats = simnet.run(config, plan)
+assert len(reports) == 3, reports
+assert protocol.owner_verify_execution(reports, params, plan)
+forged = [replace(reports[0], solution=reports[0].solution ^ 1)] + reports[1:]
+assert not protocol.owner_verify_execution(forged, params, plan)
 print(_kernel.BACKEND)
 """
     out = subprocess.run(

@@ -145,7 +145,7 @@ class TestDeviceOnToken:
         protocol.enqueue_upload(device, b"queued reading")
         before = (
             device.seal_count,
-            set(device.seen_token_ids),
+            device.last_token_id,
             list(device.events),
             list(device.upload_queue),
         )
@@ -154,7 +154,7 @@ class TestDeviceOnToken:
             protocol.device_on_token(device, damage(frame), now + 5)
         after = (
             device.seal_count,
-            set(device.seen_token_ids),
+            device.last_token_id,
             list(device.events),
             list(device.upload_queue),
         )

@@ -68,6 +68,25 @@ class TestRingConservation:
         assert hub.round == 50
         assert hub.t_beg == {}
 
+    def test_emulating_device_unwraps_once_per_round(self, monkeypatch):
+        config = small_config(n_physical=2, n_virtual=6, rounds=40)
+        registry = simnet.registry_for(config)
+        owner_of = {id(registry.device_secret(d)): d for d in (1, 2)}
+        attempts = {1: 0, 2: 0}
+        unwrap = crypto.unwrap_for_device
+
+        def counting_unwrap(frame, secret):
+            attempts[owner_of[id(secret)]] += 1
+            return unwrap(frame, secret)
+
+        monkeypatch.setattr(crypto, "unwrap_for_device", counting_unwrap)
+        _trace, _reports, _stats, _hub, devices = simnet._run_ring(config, None, None, registry)
+        # Each device sees every token three times but unwraps it once.
+        assert attempts == {1: 40, 2: 40}
+        for device in devices.values():
+            assert device.last_token_id == 40
+            assert not any(isinstance(v, (set, dict)) for v in vars(device).values())
+
     def test_one_record_per_crossing_plus_return(self):
         trace, _, _ = simnet.run(small_config())
         for r in range(1, 6):
