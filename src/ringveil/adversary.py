@@ -9,6 +9,7 @@ guess-the-slot and race-the-device experiments.
 """
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
@@ -37,22 +38,28 @@ class AdversaryConfig:
 @dataclass(frozen=True)
 class AdversarialView:
     """Everything a passive wiretap retains: command-like arrivals at devices
-    and data-like departures from devices.  A device-to-device hop is both."""
+    and data-like departures from devices.  A device-to-device hop is both.
+    links keeps who sent each frame to whom."""
 
     command_obs: tuple  # (time_us, dst device, size)
     data_obs: tuple  # (time_us, src device, size)
+    links: tuple  # (src, dst) of every frame
     config_fingerprint: str = ""
 
 
 def build_view(trace: TraceLog) -> AdversarialView:
     commands = []
     data = []
+    links = []
     for time_us, src, dst, size, _round in trace.records:
         if dst != HUB_ID:
             commands.append((time_us, dst, size))
         if src != HUB_ID:
             data.append((time_us, src, size))
-    return AdversarialView(tuple(commands), tuple(data), trace.config_fingerprint)
+        links.append((src, dst))
+    return AdversarialView(
+        tuple(commands), tuple(data), tuple(links), trace.config_fingerprint
+    )
 
 
 def _observation_sizes(view: AdversarialView):
@@ -69,12 +76,7 @@ def _inter_arrivals(view: AdversarialView):
 
 
 def _endpoint_counts(view: AdversarialView):
-    counts = {}
-    for _, device, _ in view.command_obs:
-        counts[device] = counts.get(device, 0) + 1
-    for _, device, _ in view.data_obs:
-        counts[device] = counts.get(device, 0) + 1
-    return counts
+    return Counter(device for _, device, _ in view.command_obs + view.data_obs)
 
 
 def _ks_test(a, b):
@@ -123,6 +125,7 @@ def distinguish_schedules(
         ("frame-sizes-ks", *_ks_test(_observation_sizes(view_a), _observation_sizes(view_b))),
         ("inter-arrival-ks", *_ks_test(_inter_arrivals(view_a), _inter_arrivals(view_b))),
         ("endpoint-counts-chi2", *_count_test(_endpoint_counts(view_a), _endpoint_counts(view_b))),
+        ("link-counts-chi2", *_count_test(Counter(view_a.links), Counter(view_b.links))),
     ]
     tests = [
         {

@@ -142,7 +142,6 @@ def _cmd_schedule_compile(args):
             {
                 "devices": len(plan.entries),
                 "slot_length_us": plan.slot_length,
-                "ring_order": list(plan.ring_order),
                 "out": args.out,
             }
         )

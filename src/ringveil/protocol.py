@@ -20,7 +20,8 @@ HUB_ID = 0
 DEFAULT_T_DIFF = 50_000  # allowed clock difference, microseconds
 
 # Nonce composition for per-hop re-sealing: high bits identify the sealing
-# node (0 = hub, ring position + 1 for devices), low bits count its seals.
+# node (0 = hub, the device id for devices, which on the fixed ring is also
+# its ring position counted from 1), low bits count its seals.
 _NONCE_POSITION_SHIFT = 40
 
 
@@ -126,7 +127,6 @@ def hub_verify_order(order: Order, owner_pk) -> bool:
 @dataclass
 class DeviceState:
     device_id: int
-    ring_position: int
     layout: token.TokenLayout
     ring_key: bytes
     secret_key: object  # X25519 private key for unwrapping command slots
@@ -155,7 +155,6 @@ class DeviceState:
 
 def make_device(
     device_id: int,
-    ring_position: int,
     registry: crypto.KeyRegistry,
     layout: token.TokenLayout,
     *,
@@ -164,7 +163,6 @@ def make_device(
 ) -> DeviceState:
     return DeviceState(
         device_id=device_id,
-        ring_position=ring_position,
         layout=layout,
         ring_key=registry.ring_key,
         secret_key=registry.device_secret(device_id),
@@ -237,7 +235,7 @@ def device_on_token(state: DeviceState, frame: bytes, now: int, forward_at=None)
 
     state.last_counter = t.counter
     state.seal_count += 1
-    nonce = ((state.ring_position + 1) << _NONCE_POSITION_SHIFT) | state.seal_count
+    nonce = (state.device_id << _NONCE_POSITION_SHIFT) | state.seal_count
     forwarded = token.token_build(t, state.ring_key, state.layout, nonce)
     fwd_time = now if forward_at is None else forward_at
     state.events.append(format_event(round_no, state.device_id, "fwd", fwd_time))

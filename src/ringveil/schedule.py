@@ -1,10 +1,13 @@
 """Compile partially ordered device schedules into per-device time-lock puzzles.
 
-The owner expresses constraints as ordered pairs (earlier, later).  Compilation
-picks a ring order that is a linear extension of the partial order, then
-assigns each scheduled device a squaring count t_hat such that devices bound
-by a pair actuate in order with a safety margin, and unconstrained devices all
-actuate at one shared instant regardless of where they sit on the ring.
+The owner expresses constraints as ordered pairs (earlier, later).  The ring
+is fixed at provisioning, in device-id order, and no schedule moves a device
+on it: were the token to follow the pairs, a wiretap would read them off who
+sends to whom.  Compilation assigns each scheduled device a squaring count
+t_hat such that devices bound by a pair actuate in order with a safety margin,
+whichever way the pair runs around the ring, and unconstrained devices all
+actuate at one shared instant.  A linear extension of the partial order only
+checks for cycles and sets the order in which devices are assigned.
 """
 
 import heapq
@@ -18,6 +21,8 @@ from ringveil import crypto
 DEFAULT_BASE_T_HAT = 1000  # squarings given to the earliest device in a chain
 
 COMMAND_BYTES = 1 + 4 + 8  # state byte, device id, sequence number
+
+PLAN_FORMAT = "ringveil-plan-v2"
 
 STATE_ON = "on"
 STATE_OFF = "off"
@@ -96,7 +101,7 @@ class SchedulePlan:
     entries: tuple
     slot_length: int  # time units; max t_hat at the plan's calibration
     comparable_count: int
-    ring_order: tuple
+    ring_size: int  # the physical ring the forward times were predicted for
     pairs: tuple
     squarings_per_unit: int
     issued_at: int
@@ -109,9 +114,9 @@ class SchedulePlan:
 
 
 def linear_extension(order: PartialOrder, n: int):
-    """Lexicographically smallest linear extension over ring positions 1..n.
+    """Lexicographically smallest linear extension over device ids 1..n.
 
-    Every device in the topology appears in the result even if unscheduled;
+    Every device in the ring appears in the result even if unscheduled;
     unconstrained ids slot in by numeric order.
     """
     universe = list(range(1, n + 1))
@@ -150,18 +155,21 @@ def assign_time_bounds(
 ):
     """Map each scheduled device to a squaring count t_hat.
 
-    Devices with no ordering constraint share one actuation instant: the
-    earlier a device forwards the token, the more squarings it is given, so
-    completion times coincide.  Devices in a chain are spaced so each pair is
-    at least (N-1) times their forward-time gap apart in calibrated time.
+    Device d sits at ring position d and forwards the token at
+    hop_forward_times[d - 1].  Devices with no ordering constraint share one
+    actuation instant: the earlier a device forwards the token, the more
+    squarings it is given, so completion times coincide.  Constrained devices
+    are assigned in linear-extension order, so every predecessor is assigned
+    first.  A pair (a, b) finishes N times their forward-time gap apart in
+    calibrated time, whether b forwards after a (t_hat gap (N-1) times the
+    forward gap) or before it ((N+1) times).
     """
     n = len(hop_forward_times)
     for earlier, later in zip(hop_forward_times, hop_forward_times[1:]):
         if later <= earlier:
             raise ValueError("hop forward times must be strictly increasing")
-    ring = linear_extension(order, n)
-    position = {d: i for i, d in enumerate(ring)}
-    forward = {d: hop_forward_times[position[d]] for d in order.devices}
+    extension = linear_extension(order, n)
+    forward = {d: hop_forward_times[d - 1] for d in order.devices}
 
     constrained = order.constrained_devices()
     free = [d for d in order.devices if d not in constrained]
@@ -176,10 +184,11 @@ def assign_time_bounds(
     for a, b in order.pairs:
         if a != b:
             predecessors[b].add(a)
-    for d in sorted(constrained, key=lambda d: position[d]):
+    for d in (d for d in extension if d in constrained):
         t_hat = base_t_hat
         for p in predecessors[d]:
-            gap = (n - 1) * (forward[d] - forward[p]) * squarings_per_unit
+            step = forward[p] - forward[d]
+            gap = (step + n * abs(step)) * squarings_per_unit
             t_hat = max(t_hat, bounds[p] + gap)
         bounds[d] = t_hat
     return bounds
@@ -221,13 +230,13 @@ def compile(
         raise ValueError(
             f"{len(order.devices)} scheduled devices exceed ring capacity {n}"
         )
-    ring = linear_extension(order, n)  # raises CycleError on bad input
+    extension = linear_extension(order, n)  # raises CycleError on bad input
     if not order.devices:
         return SchedulePlan(
             entries=(),
             slot_length=0,
             comparable_count=0,
-            ring_order=tuple(ring),
+            ring_size=n,
             pairs=(),
             squarings_per_unit=squarings_per_unit,
             issued_at=issued_at,
@@ -250,9 +259,8 @@ def compile(
         if isinstance(rng_seed, random.Random)
         else random.Random(crypto.derive_seed("plan", rng_seed))
     )
-    position = {d: i for i, d in enumerate(ring)}
     entries = []
-    for seq, device_id in enumerate(sorted(order.devices, key=lambda d: position[d])):
+    for seq, device_id in enumerate(d for d in extension if d in order.devices):
         command = encode_command(order.state_of(device_id), device_id, seq)
         key = rng.randrange(1, params.n)
         a = _random_base(rng, params.n)
@@ -273,29 +281,11 @@ def compile(
         entries=tuple(entries),
         slot_length=slot_length,
         comparable_count=len(order.constrained_devices()),
-        ring_order=tuple(ring),
+        ring_size=n,
         pairs=tuple(p for p in order.pairs if p[0] != p[1]),
         squarings_per_unit=squarings_per_unit,
         issued_at=issued_at,
     )
-
-
-def slots_required(n: int, k: int) -> int:
-    if k > n:
-        raise ValueError("comparable count cannot exceed device count")
-    return (n - k) + 1
-
-
-def round_time_sum(t_beg: int, t_end: int, holds) -> int:
-    """Pure transit time of one circulation: total span minus device hold times."""
-    if t_end < t_beg:
-        raise ValueError("round end precedes its beginning")
-    total_hold = 0
-    for t_rcv, t_fwd in holds:
-        if t_fwd < t_rcv:
-            raise ValueError("forward time precedes receive time")
-        total_hold += t_fwd - t_rcv
-    return (t_end - t_beg) - total_hold
 
 
 def parse_schedule_text(text: str) -> PartialOrder:
@@ -368,10 +358,10 @@ def parse_schedule_text(text: str) -> PartialOrder:
 
 def plan_to_json(plan: SchedulePlan) -> str:
     doc = {
-        "format": "ringveil-plan-v1",
+        "format": PLAN_FORMAT,
         "slot_length": plan.slot_length,
         "comparable_count": plan.comparable_count,
-        "ring_order": list(plan.ring_order),
+        "ring_size": plan.ring_size,
         "pairs": [list(p) for p in plan.pairs],
         "squarings_per_unit": plan.squarings_per_unit,
         "issued_at": plan.issued_at,
@@ -390,8 +380,19 @@ def plan_to_json(plan: SchedulePlan) -> str:
 
 
 def plan_from_json(text: str) -> SchedulePlan:
+    """Read a plan document.  A v1 document carries the ring order it was
+    compiled for; only the fixed order 1..n reads as its ring size, since
+    the t_hat values of any other order assumed a different ring."""
     doc = json.loads(text)
-    if doc.get("format") != "ringveil-plan-v1":
+    if doc.get("format") == "ringveil-plan-v1":
+        ring_size = len(doc["ring_order"])
+        if doc["ring_order"] != list(range(1, ring_size + 1)):
+            raise ValueError(
+                "plan was compiled for a schedule-derived ring order; recompile it"
+            )
+    elif doc.get("format") == PLAN_FORMAT:
+        ring_size = doc["ring_size"]
+    else:
         raise ValueError("not a schedule plan document")
     entries = tuple(
         PlanEntry(
@@ -407,7 +408,7 @@ def plan_from_json(text: str) -> SchedulePlan:
         entries=entries,
         slot_length=doc["slot_length"],
         comparable_count=doc["comparable_count"],
-        ring_order=tuple(doc["ring_order"]),
+        ring_size=ring_size,
         pairs=tuple(tuple(p) for p in doc["pairs"]),
         squarings_per_unit=doc["squarings_per_unit"],
         issued_at=doc["issued_at"],

@@ -8,6 +8,7 @@ the token lets a few physical devices stand in for a much larger ring.
 """
 
 import heapq
+import itertools
 import random
 import statistics
 from dataclasses import dataclass, field, replace
@@ -135,25 +136,10 @@ def predicted_forward_times(config: SimConfig):
 _EMIT, _DEVICE_RX, _HUB_RX, _SOLVE = range(4)
 
 
-class _EventLoop:
-    def __init__(self):
-        self._heap = []
-        self._seq = 0
-
-    def push(self, time: int, kind: int, data=None):
-        heapq.heappush(self._heap, (time, self._seq, kind, data))
-        self._seq += 1
-
-    def __iter__(self):
-        while self._heap:
-            time, _seq, kind, data = heapq.heappop(self._heap)
-            yield time, kind, data
-
-
 def _check_plan(config: SimConfig, plan, registry):
-    if len(plan.ring_order) != config.n_physical:
+    if plan.ring_size != config.n_physical:
         raise ValueError(
-            f"plan covers {len(plan.ring_order)} devices, config has {config.n_physical}"
+            f"plan covers {plan.ring_size} devices, config has {config.n_physical}"
         )
     if plan.entries:
         probe = plan.entries[0]
@@ -181,13 +167,11 @@ def _run_ring(config: SimConfig, plan, script, registry):
     )
     if plan is not None:
         _check_plan(config, plan, registry)
-    ring_order = list(plan.ring_order) if plan else list(range(1, config.n_physical + 1))
+    # The ring runs in device-id order whatever the plan: the hub sends to
+    # device 1, and device d forwards to d + 1, the last wrapping to 1.
+    n_physical = config.n_physical
     devices = {
-        d: protocol.make_device(d, pos, registry, layout)
-        for pos, d in enumerate(ring_order)
-    }
-    next_of = {
-        d: ring_order[(pos + 1) % len(ring_order)] for pos, d in enumerate(ring_order)
+        d: protocol.make_device(d, registry, layout) for d in range(1, n_physical + 1)
     }
 
     if plan is not None and plan.entries:
@@ -199,7 +183,8 @@ def _run_ring(config: SimConfig, plan, script, registry):
             protocol.enqueue_upload(devices[action[1]], _SENSOR_RECORD)
 
     jitter_rng = random.Random(crypto.derive_seed(config.seed, "jitter"))
-    loop = _EventLoop()
+    events = []  # heap of (time, push sequence, kind, data): ties pop in push order
+    sequence = itertools.count()
     records = []
     latencies = {}
     current_round = 0
@@ -209,14 +194,15 @@ def _run_ring(config: SimConfig, plan, script, registry):
         wobble = jitter_rng.randint(0, config.jitter) if config.jitter else 0
         arrival = depart + config.hop_latency + wobble + transmit_time(config, len(frame))
         kind = _HUB_RX if dst == protocol.HUB_ID else _DEVICE_RX
-        loop.push(arrival, kind, (src, dst, frame))
+        heapq.heappush(events, (arrival, next(sequence), kind, (src, dst, frame)))
 
-    loop.push(0, _EMIT)
-    for now, kind, data in loop:
+    heapq.heappush(events, (0, next(sequence), _EMIT, None))
+    while events:
+        now, _sequence, kind, data = heapq.heappop(events)
         if kind == _EMIT:
             hub, frame = protocol.hub_emit_token(hub, now)
             current_round = hub.round
-            transmit(now, protocol.HUB_ID, ring_order[0], frame)
+            transmit(now, protocol.HUB_ID, 1, frame)
         elif kind == _DEVICE_RX:
             src, dst, frame = data
             records.append((now, src, dst, len(frame), current_round))
@@ -231,10 +217,11 @@ def _run_ring(config: SimConfig, plan, script, registry):
                 solves_scheduled[dst].add(state.pending_round)
                 remaining = state.pending_puzzle.t_hat - state.solve_progress
                 compute_us = -(-remaining // config.squarings_per_tick)
-                loop.push(
-                    now + config.hold + compute_us, _SOLVE, (dst, state.pending_round)
+                solve_at = now + config.hold + compute_us
+                heapq.heappush(
+                    events, (solve_at, next(sequence), _SOLVE, (dst, state.pending_round))
                 )
-            next_dst = protocol.HUB_ID if state.last_counter <= 0 else next_of[dst]
+            next_dst = protocol.HUB_ID if state.last_counter <= 0 else dst % n_physical + 1
             transmit(now + config.hold, dst, next_dst, out)
         elif kind == _HUB_RX:
             src, dst, frame = data
@@ -242,7 +229,7 @@ def _run_ring(config: SimConfig, plan, script, registry):
             hub = protocol.hub_on_token(hub, frame, now)
             latencies[current_round] = now - hub.t_beg.pop(current_round)
             if hub.round < config.rounds:
-                loop.push(now + config.hold, _EMIT)
+                heapq.heappush(events, (now + config.hold, next(sequence), _EMIT, None))
         elif kind == _SOLVE:
             device_id, round_tag = data
             state = devices[device_id]

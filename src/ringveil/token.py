@@ -139,9 +139,6 @@ class Token:
         t.layout = layout
         return t
 
-    def copy(self) -> "Token":
-        return Token._over(bytearray(self.buf), self.layout)
-
     def __eq__(self, other):
         if not isinstance(other, Token):
             return NotImplemented
@@ -206,12 +203,10 @@ class Token:
         self.buf[span] = data_overwrite(self.buf[span], operand)
 
 
-def token_build(t: Token, ring_key: bytes, layout: TokenLayout, nonce=None) -> bytes:
-    """Seal the token buffer.  Callers re-sealing per hop must pass unique nonces."""
+def token_build(t: Token, ring_key: bytes, layout: TokenLayout, nonce: int) -> bytes:
+    """Seal the token buffer under nonce, which must never repeat under ring_key."""
     if t.layout.shape != layout.shape or len(t.buf) != layout.plaintext_size:
         raise ValueError(f"token of shape {t.layout.shape} does not fit layout {layout.shape}")
-    if nonce is None:
-        nonce = t.round
     return crypto.sym_seal(t.buf, ring_key, nonce)
 
 
@@ -235,20 +230,6 @@ def data_overwrite(random_bits: bytes, generated_bits: bytes) -> bytes:
 
 def data_recover(overwritten: bytes, random_bits: bytes) -> bytes:
     return data_overwrite(overwritten, random_bits)
-
-
-def toggle_set(t: Token, device_index: int) -> Token:
-    """Copy with the request bit set (never flipped); repeated requests stay set."""
-    out = t.copy()
-    out.set_toggle(device_index, True)
-    return out
-
-
-def toggle_clear(t: Token, device_index: int) -> Token:
-    """Copy with the bit cleared: the hub-side clear after a granted request."""
-    out = t.copy()
-    out.set_toggle(device_index, False)
-    return out
 
 
 def toggle_read(t: Token):

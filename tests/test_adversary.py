@@ -1,5 +1,6 @@
 """Wiretap-view construction and the attack experiments."""
 
+import dataclasses
 import math
 
 import pytest
@@ -118,6 +119,30 @@ class TestDistinguish:
         report = adversary.distinguish_schedules(view_a, view_b, CFG)
         assert report["verdict"] == "indistinguishable"
 
+    def test_relabelled_ring_is_caught_by_links_only(self):
+        # Swapping devices 1 and 2 keeps every size, instant and per-device
+        # count, so only who sends to whom tells the runs apart.
+        trace = ring_trace(rounds=20)
+        swap = {1: 2, 2: 1}
+        relabelled = simnet.TraceLog(
+            records=[
+                (t, swap.get(src, src), swap.get(dst, dst), size, r)
+                for t, src, dst, size, r in trace.records
+            ],
+            config_fingerprint=trace.config_fingerprint,
+        )
+        report = adversary.distinguish_schedules(
+            adversary.build_view(trace), adversary.build_view(relabelled), CFG
+        )
+        verdicts = {entry["test"]: entry["verdict"] for entry in report["tests"]}
+        assert verdicts == {
+            "frame-sizes-ks": adversary.FAIL_TO_REJECT,
+            "inter-arrival-ks": adversary.FAIL_TO_REJECT,
+            "endpoint-counts-chi2": adversary.FAIL_TO_REJECT,
+            "link-counts-chi2": adversary.REJECT,
+        }
+        assert report["verdict"] == "distinguishable"
+
     def test_ring_vs_star_rejects(self):
         ring_view = adversary.build_view(ring_trace(rounds=8))
         star_config = simnet.SimConfig(
@@ -144,7 +169,7 @@ class TestDistinguish:
 
     def test_missing_fingerprint_is_tolerated(self):
         view = adversary.build_view(ring_trace())
-        bare = adversary.AdversarialView(view.command_obs, view.data_obs, "")
+        bare = dataclasses.replace(view, config_fingerprint="")
         report = adversary.distinguish_schedules(view, bare, CFG)
         assert report["verdict"] == "indistinguishable"
 
@@ -226,7 +251,7 @@ class TestSnapshot:
         puzzle = make_puzzles([1200])[0]
         registry = crypto.KeyRegistry.provision([1], seed=77)
         layout = simnet.layout_for(simnet.SimConfig(n_physical=1, modulus_bits=64))
-        state = protocol.make_device(1, 0, registry, layout)
+        state = protocol.make_device(1, registry, layout)
         state.pending_puzzle = puzzle
         state.pending_round = 1
         state.solve_residue = puzzle.a % puzzle.n

@@ -102,7 +102,6 @@ class TestScheduleCompile:
         assert json.loads(stdout) == {
             "devices": 4,
             "slot_length_us": slot_length,
-            "ring_order": [1, 2, 3, 4],
             "out": str(out),
         }
         plan = schedule.plan_from_json(out.read_text())
@@ -367,6 +366,7 @@ class TestAdversaryAnalyze:
         assert report["verdict"] == "indistinguishable"
         assert {t["test"] for t in report["tests"]} == {
             "frame-sizes-ks", "inter-arrival-ks", "endpoint-counts-chi2",
+            "link-counts-chi2",
         }
 
     def test_single_trace_activity_table(self, capsys, tmp_path):

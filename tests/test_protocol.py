@@ -26,7 +26,7 @@ def build_plan(pairs=((1, 2),), base_t_hat=4, **kwargs):
 
 def make_ring(n_virtual=None, rng_seed=0):
     hub = protocol.make_hub(REGISTRY, LAYOUT, n_virtual=n_virtual, rng_seed=rng_seed)
-    devices = [protocol.make_device(i, i - 1, REGISTRY, LAYOUT) for i in range(1, N + 1)]
+    devices = [protocol.make_device(i, REGISTRY, LAYOUT) for i in range(1, N + 1)]
     return hub, devices
 
 

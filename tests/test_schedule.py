@@ -1,6 +1,7 @@
 """Unit tests for schedule compilation, linear extensions, and time bounds."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -115,16 +116,18 @@ class TestAssignTimeBounds:
         order = make_order(n, pairs)
         forward_times = [gap * (i + 1) for i in range(n)]
         try:
-            ring = schedule.linear_extension(order, n)
+            bounds = schedule.assign_time_bounds(order, forward_times, base_t_hat=base)
         except schedule.CycleError:
             return
-        bounds = schedule.assign_time_bounds(order, forward_times, base_t_hat=base)
-        position = {d: i for i, d in enumerate(ring)}
-        forward = {d: forward_times[position[d]] for d in order.devices}
+        # the ring is fixed: device d forwards at forward_times[d - 1]
+        forward = {d: forward_times[d - 1] for d in order.devices}
         assert all(t >= base for t in bounds.values())
         for a, b in pairs:
             assert bounds[b] - bounds[a] >= (n - 1) * (forward[b] - forward[a])
             assert forward[a] + bounds[a] < forward[b] + bounds[b]
+            # either way round the ring, b finishes n forward gaps after a
+            finish_gap = (forward[b] + bounds[b]) - (forward[a] + bounds[a])
+            assert finish_gap >= n * abs(forward[b] - forward[a])
         free = [d for d in order.devices if d not in order.constrained_devices()]
         assert len({forward[d] + bounds[d] for d in free}) <= 1
 
@@ -206,22 +209,6 @@ class TestSlotHelpers:
         )
         assert plan.slot_length == 0
 
-    def test_slots_required(self):
-        assert schedule.slots_required(5, 2) == 4
-        assert schedule.slots_required(4, 4) == 1
-        assert schedule.slots_required(6, 0) == 7
-        with pytest.raises(ValueError):
-            schedule.slots_required(3, 4)
-
-    def test_round_time_sum(self):
-        assert schedule.round_time_sum(0, 100, [(10, 25), (40, 55)]) == 70
-        assert schedule.round_time_sum(5, 42, []) == 37
-        assert schedule.round_time_sum(0, 30, [(0, 10), (10, 30)]) == 0
-        with pytest.raises(ValueError):
-            schedule.round_time_sum(10, 5, [])
-        with pytest.raises(ValueError):
-            schedule.round_time_sum(0, 10, [(8, 3)])
-
 
 class TestScheduleText:
     GOOD = """
@@ -273,6 +260,21 @@ class TestPlanSerialization:
         order = make_order(3, [(1, 2)])
         plan = schedule.compile(order, REGISTRY, PARAMS, [10, 20, 30], rng_seed=5)
         assert schedule.plan_from_json(schedule.plan_to_json(plan)) == plan
+
+    def test_v1_document_with_the_fixed_ring_is_read(self):
+        plan = schedule.compile(make_order(3, [(2, 1)]), REGISTRY, PARAMS, [10, 20, 30])
+        doc = json.loads(schedule.plan_to_json(plan))
+        assert doc["format"] == "ringveil-plan-v2" and doc.pop("ring_size") == 3
+        doc.update(format="ringveil-plan-v1", ring_order=[1, 2, 3])
+        assert schedule.plan_from_json(json.dumps(doc)) == plan
+
+    def test_v1_document_with_a_derived_ring_is_refused(self):
+        plan = schedule.compile(make_order(3, [(2, 1)]), REGISTRY, PARAMS, [10, 20, 30])
+        doc = json.loads(schedule.plan_to_json(plan))
+        del doc["ring_size"]
+        doc.update(format="ringveil-plan-v1", ring_order=[2, 1, 3])
+        with pytest.raises(ValueError, match="recompile"):
+            schedule.plan_from_json(json.dumps(doc))
 
     def test_rejects_foreign_document(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,10 @@
 """Simulator behaviour: conservation, determinism, timing closed forms."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ringveil import crypto, protocol, schedule, simnet
 
@@ -247,6 +251,52 @@ class TestPlanExecution:
         assert len(reports) == 3
         _, reports, _ = simnet.run(small_config(modulus_bits=128, data_per_device=2))
         assert reports == []  # padding-only rings need no report width
+
+    def test_ring_does_not_depend_on_the_pairs(self):
+        # A wiretap sees who sends to whom; a pair, its reverse and a chain
+        # running against device-id order must all put the same frames on
+        # the same links at the same instants.
+        config = small_config(n_physical=4, rounds=12)
+        traces = []
+        for pairs in ("pair 1 4\n", "pair 4 1\n", "pair 3 2\npair 2 1\n"):
+            text = "device 1\ndevice 2\ndevice 3\ndevice 4\n" + pairs
+            order, plan = compile_plan(config, text)
+            trace, reports, _ = simnet.run(config, plan)
+            assert protocol.owner_verify_execution(reports, PARAMS, plan)
+            t_com = {r.device_id: r.t_com for r in reports}
+            assert all(t_com[a] < t_com[b] for a, b in order.pairs)
+            traces.append(simnet.trace_to_csv(trace))
+        assert traces[0] == traces[1] == traces[2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        raw_pairs=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), max_size=3),
+        jitter=st.sampled_from([0, 100]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_random_plans_audit_and_actuate_in_pair_order(self, n, raw_pairs, jitter, seed):
+        pairs = [(a, b) for a, b in raw_pairs if a <= n and b <= n and a != b]
+        text = "".join(f"device {d}\n" for d in range(1, n + 1))
+        text += "".join(f"pair {a} {b}\n" for a, b in pairs)
+        config = small_config(n_physical=n, jitter=jitter, seed=seed)
+        try:
+            order, plan = compile_plan(config, text, rng_seed=seed)
+        except schedule.CycleError:
+            assume(False)
+        # enough rounds to finish the slowest solve, then request and upload
+        rounds = plan.slot_length // closed_form_latency(config) + 6
+        _, reports, _ = simnet.run(replace(config, rounds=rounds), plan)
+        assert protocol.owner_verify_execution(reports, PARAMS, plan)
+        t_com = {r.device_id: r.t_com for r in reports}
+        assert all(t_com[a] < t_com[b] for a, b in order.pairs)
+
+    def test_plan_for_another_ring_size_is_refused(self):
+        _, plan = compile_plan(
+            small_config(n_physical=4), "device 1\ndevice 2\ndevice 3\ndevice 4\n"
+        )
+        with pytest.raises(ValueError, match="plan covers 4 devices, config has 5"):
+            simnet.run(small_config(n_physical=5), plan)
 
     def test_foreign_plan_is_rejected(self):
         config = small_config()

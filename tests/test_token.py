@@ -197,33 +197,42 @@ class TestDataConcealment:
         assert p_value > 0.01
 
 
+class TestNonce:
+    def test_build_requires_a_nonce(self):
+        with pytest.raises(TypeError):
+            token.token_build(random_token(random.Random(13)), KEY, LAYOUT)
+
+
 class TestToggles:
     def test_set_then_read(self):
         t = random_token(random.Random(8), layout=token.TokenLayout(8, 4, 8))
-        t2 = token.toggle_set(t, 2)
-        assert token.toggle_read(t2) == {2}
-        assert token.toggle_read(t) == set()  # original untouched
+        assert token.toggle_read(t) == set()
+        t.set_toggle(2, True)
+        assert token.toggle_read(t) == {2}
 
     def test_set_is_idempotent(self):
         t = random_token(random.Random(9))
-        once = token.toggle_set(t, 1)
-        twice = token.toggle_set(once, 1)
-        assert token.toggle_read(twice) == {1}
+        t.set_toggle(1, True)
+        t.set_toggle(1, True)
+        assert token.toggle_read(t) == {1}
 
     def test_clear_removes_grant(self):
-        t = token.toggle_set(random_token(random.Random(10)), 3)
-        assert token.toggle_read(token.toggle_clear(t, 3)) == set()
+        t = random_token(random.Random(10))
+        t.set_toggle(3, True)
+        t.set_toggle(3, False)
+        assert token.toggle_read(t) == set()
 
     def test_index_out_of_range(self):
         t = random_token(random.Random(11))
         with pytest.raises(ValueError):
-            token.toggle_set(t, 4)
+            t.set_toggle(4, True)
         with pytest.raises(ValueError):
-            token.toggle_set(t, -1)
+            t.set_toggle(-1, True)
 
     def test_partial_final_byte_bounds(self):
         layout = token.TokenLayout(n_devices=5, slot_size=4, data_capacity=10)
         t = random_token(random.Random(12), layout=layout)
-        assert token.toggle_read(token.toggle_set(t, 4)) == {4}
+        t.set_toggle(4, True)
+        assert token.toggle_read(t) == {4}
         with pytest.raises(ValueError):
-            token.toggle_set(t, 5)
+            t.set_toggle(5, True)
