@@ -180,38 +180,17 @@ def record_attack(puzzles, target, *, trials=1000, rng_seed=0) -> float:
 def clone_attack(puzzle, cfg: AdversaryConfig, device_rate, *, phi=None):
     """Race an eavesdropper who copied the puzzle against the real device.
 
-    Both parties solve; the squaring counts are measured structurally, so the
-    result is independent of cfg.squaring_rate: owning a faster machine
+    Both parties solve; the squaring counts are the ones each solve reports,
+    so the result is independent of cfg.squaring_rate: owning a faster machine
     shrinks wall time but never the count.  Passing phi hands the observer
     the trapdoor (control condition): the chain is bypassed entirely.
     """
     if device_rate <= 0:
         raise ValueError("device_rate must be positive")
-    counts = {"adversary": 0, "device": 0}
-    real_chain = crypto._square_chain
-
-    def counting(party):
-        def chain(value, modulus, steps):
-            counts[party] += steps
-            return real_chain(value, modulus, steps)
-
-        return chain
-
-    try:
-        crypto._square_chain = counting("adversary")
-        if phi is None:
-            adv = crypto.puzzle_solve(puzzle)
-        else:
-            residue = crypto.puzzle_fast_eval(puzzle, phi)
-            adv = crypto.recover_solution(puzzle, residue, 0)
-        crypto._square_chain = counting("device")
-        dev = crypto.puzzle_solve(puzzle)
-    finally:
-        crypto._square_chain = real_chain
-
-    if adv.key != dev.key:
-        raise RuntimeError("clone recovered a different key than the device")
-    if phi is None and counts["adversary"] < puzzle.t_hat:
-        raise RuntimeError("squaring count fell below the puzzle difficulty")
-    return counts["adversary"], counts["device"]
-
+    if phi is None:
+        adv = crypto.puzzle_solve(puzzle)
+    else:
+        residue = crypto.puzzle_fast_eval(puzzle, phi)
+        adv = crypto.recover_solution(puzzle, residue, 0)
+    dev = crypto.puzzle_solve(puzzle)
+    return adv.squarings_performed, dev.squarings_performed

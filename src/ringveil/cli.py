@@ -211,15 +211,15 @@ def _cmd_puzzle_solve(args):
 def _cmd_puzzle_verify(args):
     puzzle = _read_puzzle(args.infile)
     with open(args.secrets) as fh:
-        secrets = json.load(fh)
+        phi = schedule.json_field(json.load(fh), "phi", int)
     if args.key is not None:
         claimed = args.key
     elif args.solution:
         with open(args.solution) as fh:
-            claimed = json.load(fh)["key"]
+            claimed = schedule.json_field(json.load(fh), "key", int)
     else:
         raise ValueError("need --key or --solution to verify against")
-    residue = crypto.puzzle_fast_eval(puzzle, secrets["phi"])
+    residue = crypto.puzzle_fast_eval(puzzle, phi)
     expected = (puzzle.e_k - residue) % puzzle.n
     verdict = claimed == expected
     print(json.dumps({"verified": verdict, "t_hat": puzzle.t_hat}))
@@ -297,17 +297,7 @@ def _cmd_sim_run(args):
     if reports:
         _write(
             os.path.join(args.out_dir, "reports.json"),
-            json.dumps(
-                [
-                    {
-                        "device_id": r.device_id,
-                        "t_com": r.t_com,
-                        "t_hat": r.t_hat,
-                        "solution": r.solution,
-                    }
-                    for r in reports
-                ]
-            ),
+            json.dumps([asdict(r) for r in reports]),
         )
     print(
         json.dumps(

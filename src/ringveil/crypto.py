@@ -350,7 +350,7 @@ def encode_bigint(value: int) -> bytes:
 
 
 def decode_bigint(buf: bytes, offset: int = 0):
-    value, end = _decode_prefixed(buf, offset)
+    value, end = decode_blob(buf, offset)
     if len(value) > 0 and value[0] == 0:
         raise FramingError("bigint magnitude has a leading zero byte")
     return int.from_bytes(value, "big"), end
@@ -361,10 +361,6 @@ def encode_blob(payload: bytes) -> bytes:
 
 
 def decode_blob(buf: bytes, offset: int = 0):
-    return _decode_prefixed(buf, offset)
-
-
-def _decode_prefixed(buf: bytes, offset: int):
     if offset + 4 > len(buf):
         raise FramingError("truncated length prefix")
     length = int.from_bytes(buf[offset : offset + 4], "big")

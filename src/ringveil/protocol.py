@@ -73,10 +73,6 @@ def report_from_bytes(buf: bytes) -> ExecutionReport:
     return ExecutionReport(device_id=device_id, t_com=t_com, t_hat=t_hat, solution=solution)
 
 
-def format_event(round_no: int, actor: int, kind: str, t: int) -> str:
-    return f"round,{round_no},actor,{actor},event,{kind},t,{t}"
-
-
 def _serialize_commands(entries) -> bytes:
     parts = [len(entries).to_bytes(4, "big")]
     for device_id, wrapped in entries:
@@ -142,7 +138,6 @@ class DeviceState:
     last_token_id: int = 0  # newest token processed; hub token ids only increase
     seal_count: int = 0
     last_counter: int = 0
-    events: list = field(default_factory=list)
 
     def __post_init__(self):
         if abs(self.clock_skew) > self.t_diff:
@@ -190,7 +185,6 @@ def _try_take_puzzle(state: DeviceState, t: token.Token, now: int):
         return
     local_now = now + state.clock_skew
     if local_now > puzzle.t_val + state.t_diff:
-        state.events.append(format_event(t.round, state.device_id, "discard", now))
         return
     state.pending_puzzle = puzzle
     state.pending_round = t.round
@@ -198,18 +192,15 @@ def _try_take_puzzle(state: DeviceState, t: token.Token, now: int):
     state.solve_residue = puzzle.a % puzzle.n
 
 
-def device_on_token(state: DeviceState, frame: bytes, now: int, forward_at=None):
+def device_on_token(state: DeviceState, frame: bytes, now: int):
     """Process one token arrival; returns (state, frame to forward).
 
     The decrypted token is edited in place: the counter, this device's toggle
-    bit and its own sub-field, nothing else.  forward_at stamps the fwd event
-    when the caller holds the frame before releasing it; defaults to the
-    receive time.
+    bit and its own sub-field, nothing else.  `now` is the receive time,
+    against which a fresh puzzle's validity window is checked.
     """
     t = token.token_parse(frame, state.ring_key, state.layout)
-    round_no = t.round
     index = state.slot_index
-    state.events.append(format_event(round_no, state.device_id, "rcv", now))
     t.counter -= 1
 
     if t.token_id > state.last_token_id:
@@ -223,7 +214,6 @@ def device_on_token(state: DeviceState, frame: bytes, now: int, forward_at=None)
             t.xor_subfield(index, record + bytes(end - start - len(record)))
             state.toggle_requested = False
             uploaded = True
-            state.events.append(format_event(round_no, state.device_id, "upload", now))
 
         # A re-request in the very round of a grant would be indistinguishable
         # from the grant mark itself, so a device with more queued data waits
@@ -231,14 +221,11 @@ def device_on_token(state: DeviceState, frame: bytes, now: int, forward_at=None)
         if not uploaded and state.upload_queue and not state.toggle_requested:
             t.set_toggle(index, True)
             state.toggle_requested = True
-            state.events.append(format_event(round_no, state.device_id, "upload_req", now))
 
     state.last_counter = t.counter
     state.seal_count += 1
     nonce = (state.device_id << _NONCE_POSITION_SHIFT) | state.seal_count
     forwarded = token.token_build(t, state.ring_key, state.layout, nonce)
-    fwd_time = now if forward_at is None else forward_at
-    state.events.append(format_event(round_no, state.device_id, "fwd", fwd_time))
     return state, forwarded
 
 
@@ -263,22 +250,18 @@ def device_tick(state: DeviceState, budget: int, now: int = 0) -> DeviceState:
     if state.solve_progress < puzzle.t_hat:
         return state
 
-    state.events.append(format_event(state.pending_round, state.device_id, "solve_done", now))
     try:
         solution = crypto.recover_solution(puzzle, state.solve_residue, state.solve_progress)
         _state, command_device, _seq = schedule.decode_command(solution.command)
     except (crypto.AuthenticationError, crypto.FramingError):
-        state.events.append(format_event(state.pending_round, state.device_id, "discard", now))
         state.pending_puzzle = None
         return state
     state.pending_puzzle = None
     if command_device != state.device_id:
-        state.events.append(format_event(state.pending_round, state.device_id, "discard", now))
         return state
 
     t_com = now + state.clock_skew
     state.actuated = (solution.command, t_com)
-    state.events.append(format_event(state.pending_round, state.device_id, "actuate", now))
     report = ExecutionReport(
         device_id=state.device_id,
         t_com=t_com,
@@ -294,31 +277,25 @@ class HubState:
     layout: token.TokenLayout
     ring_key: bytes
     rng: random.Random
-    n_virtual: int
     round: int = 0
-    accepted_plan: Optional[dict] = None  # device_id -> wrapped slot payload
-    plan_delivered: bool = True
+    pending_plan: Optional[dict] = None  # device_id -> wrapped slot, until delivered
     random_field_log: dict = field(default_factory=dict)
     pending_grants: set = field(default_factory=set)
     requests: set = field(default_factory=set)
-    t_beg: dict = field(default_factory=dict)
     recovered: list = field(default_factory=list)  # (round, device_id, payload)
     seal_count: int = 0
-    events: list = field(default_factory=list)
 
 
 def make_hub(
     registry: crypto.KeyRegistry,
     layout: token.TokenLayout,
     *,
-    n_virtual: Optional[int] = None,
     rng_seed=0,
 ) -> HubState:
     return HubState(
         layout=layout,
         ring_key=registry.ring_key,
         rng=random.Random(crypto.derive_seed("hub", rng_seed)),
-        n_virtual=n_virtual if n_virtual is not None else layout.n_devices,
     )
 
 
@@ -329,8 +306,7 @@ def hub_accept_order(state: HubState, order: Order, owner_pk) -> bool:
     for device_id, _ in entries:
         if not 1 <= device_id <= state.layout.n_devices:
             return False
-    state.accepted_plan = dict(entries)
-    state.plan_delivered = False
+    state.pending_plan = dict(entries)
     return True
 
 
@@ -350,15 +326,12 @@ def hub_emit_token(state: HubState, now: int):
     """Start a round: deliver a pending plan once, pad everything else."""
     state.round += 1
     round_no = state.round
-    state.t_beg[round_no] = now
 
     slots = []
-    deliver = state.accepted_plan if not state.plan_delivered else None
+    deliver = state.pending_plan or {}
     for device_id in range(1, state.layout.n_devices + 1):
-        payload = deliver.get(device_id) if deliver else None
-        slots.append(_fill_slot(state, payload))
-    if deliver is not None:
-        state.plan_delivered = True
+        slots.append(_fill_slot(state, deliver.get(device_id)))
+    state.pending_plan = None
 
     b_r = state.rng.randbytes(state.layout.data_capacity)
     state.random_field_log[round_no] = b_r
@@ -371,7 +344,7 @@ def hub_emit_token(state: HubState, now: int):
     t = token.Token(
         token_id=round_no,
         round=round_no,
-        counter=state.n_virtual,
+        counter=state.layout.n_devices,
         toggle_bits=bytes(state.layout.toggle_bytes),
         command_field=slots,
         data_field=b_r,
@@ -382,14 +355,12 @@ def hub_emit_token(state: HubState, now: int):
 
     state.seal_count += 1
     frame = token.token_build(t, state.ring_key, state.layout, state.seal_count)
-    state.events.append(format_event(round_no, HUB_ID, "emit", now))
     return state, frame
 
 
 def hub_on_token(state: HubState, frame: bytes, now: int) -> HubState:
     """Finish a round: recover granted uploads, collect new requests."""
     t = token.token_parse(frame, state.ring_key, state.layout)
-    state.events.append(format_event(t.round, HUB_ID, "rcv", now))
 
     b_r = state.random_field_log.pop(t.round, None)
     returned_bits = token.toggle_read(t)

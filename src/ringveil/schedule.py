@@ -71,9 +71,6 @@ class PartialOrder:
             return self.script
         return tuple(("set", d, self.state_of(d)) for d in self.devices)
 
-    def read_devices(self):
-        return tuple(a[1] for a in self.script if a[0] == "read")
-
     def constrained_devices(self):
         """Devices appearing in at least one pair with distinct endpoints."""
         out = set()
@@ -379,37 +376,51 @@ def plan_to_json(plan: SchedulePlan) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def json_field(doc, name: str, kind: type):
+    """doc[name] if doc is a JSON object with a `kind` there, else a ValueError."""
+    value = doc.get(name) if isinstance(doc, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"field {name!r} is missing or not of type {kind.__name__}")
+    return value
+
+
 def plan_from_json(text: str) -> SchedulePlan:
     """Read a plan document.  A v1 document carries the ring order it was
     compiled for; only the fixed order 1..n reads as its ring size, since
     the t_hat values of any other order assumed a different ring."""
     doc = json.loads(text)
-    if doc.get("format") == "ringveil-plan-v1":
-        ring_size = len(doc["ring_order"])
-        if doc["ring_order"] != list(range(1, ring_size + 1)):
+    version = json_field(doc, "format", str)
+    if version == "ringveil-plan-v1":
+        ring_order = json_field(doc, "ring_order", list)
+        ring_size = len(ring_order)
+        if ring_order != list(range(1, ring_size + 1)):
             raise ValueError(
                 "plan was compiled for a schedule-derived ring order; recompile it"
             )
-    elif doc.get("format") == PLAN_FORMAT:
-        ring_size = doc["ring_size"]
+    elif version == PLAN_FORMAT:
+        ring_size = json_field(doc, "ring_size", int)
     else:
         raise ValueError("not a schedule plan document")
+    pairs = json_field(doc, "pairs", list)
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(type(d) is int for d in pair)):
+            raise ValueError("field 'pairs' must hold [earlier, later] device-id pairs")
     entries = tuple(
         PlanEntry(
-            device_id=e["device_id"],
-            command=bytes.fromhex(e["command"]),
-            t_hat=e["t_hat"],
-            puzzle=crypto.puzzle_from_bytes(bytes.fromhex(e["puzzle"])),
-            wrapped=bytes.fromhex(e["wrapped"]),
+            device_id=json_field(e, "device_id", int),
+            command=bytes.fromhex(json_field(e, "command", str)),
+            t_hat=json_field(e, "t_hat", int),
+            puzzle=crypto.puzzle_from_bytes(bytes.fromhex(json_field(e, "puzzle", str))),
+            wrapped=bytes.fromhex(json_field(e, "wrapped", str)),
         )
-        for e in doc["entries"]
+        for e in json_field(doc, "entries", list)
     )
     return SchedulePlan(
         entries=entries,
-        slot_length=doc["slot_length"],
-        comparable_count=doc["comparable_count"],
+        slot_length=json_field(doc, "slot_length", int),
+        comparable_count=json_field(doc, "comparable_count", int),
         ring_size=ring_size,
-        pairs=tuple(tuple(p) for p in doc["pairs"]),
-        squarings_per_unit=doc["squarings_per_unit"],
-        issued_at=doc["issued_at"],
+        pairs=tuple(tuple(p) for p in pairs),
+        squarings_per_unit=json_field(doc, "squarings_per_unit", int),
+        issued_at=json_field(doc, "issued_at", int),
     )

@@ -162,9 +162,7 @@ def _check_plan(config: SimConfig, plan, registry):
 
 def _run_ring(config: SimConfig, plan, script, registry):
     layout = layout_for(config)
-    hub = protocol.make_hub(
-        registry, layout, n_virtual=config.n_virtual, rng_seed=config.seed
-    )
+    hub = protocol.make_hub(registry, layout, rng_seed=config.seed)
     if plan is not None:
         _check_plan(config, plan, registry)
     # The ring runs in device-id order whatever the plan: the hub sends to
@@ -186,9 +184,8 @@ def _run_ring(config: SimConfig, plan, script, registry):
     events = []  # heap of (time, push sequence, kind, data): ties pop in push order
     sequence = itertools.count()
     records = []
-    latencies = {}
-    current_round = 0
-    solves_scheduled = {d: set() for d in devices}
+    per_round = []  # latency of each round, emit to return
+    current_round = round_start = 0
 
     def transmit(depart: int, src: int, dst: int, frame: bytes):
         wobble = jitter_rng.randint(0, config.jitter) if config.jitter else 0
@@ -201,20 +198,16 @@ def _run_ring(config: SimConfig, plan, script, registry):
         now, _sequence, kind, data = heapq.heappop(events)
         if kind == _EMIT:
             hub, frame = protocol.hub_emit_token(hub, now)
-            current_round = hub.round
+            current_round, round_start = hub.round, now
             transmit(now, protocol.HUB_ID, 1, frame)
         elif kind == _DEVICE_RX:
             src, dst, frame = data
             records.append((now, src, dst, len(frame), current_round))
             state = devices[dst]
-            state, out = protocol.device_on_token(
-                state, frame, now, forward_at=now + config.hold
-            )
-            if (
-                state.pending_puzzle is not None
-                and state.pending_round not in solves_scheduled[dst]
-            ):
-                solves_scheduled[dst].add(state.pending_round)
+            held = state.pending_puzzle
+            state, out = protocol.device_on_token(state, frame, now)
+            if state.pending_puzzle is not None and state.pending_puzzle is not held:
+                # a puzzle taken on this hop: schedule its solve once
                 remaining = state.pending_puzzle.t_hat - state.solve_progress
                 compute_us = -(-remaining // config.squarings_per_tick)
                 solve_at = now + config.hold + compute_us
@@ -227,7 +220,7 @@ def _run_ring(config: SimConfig, plan, script, registry):
             src, dst, frame = data
             records.append((now, src, dst, len(frame), current_round))
             hub = protocol.hub_on_token(hub, frame, now)
-            latencies[current_round] = now - hub.t_beg.pop(current_round)
+            per_round.append(now - round_start)
             if hub.round < config.rounds:
                 heapq.heappush(events, (now + config.hold, next(sequence), _EMIT, None))
         elif kind == _SOLVE:
@@ -240,7 +233,6 @@ def _run_ring(config: SimConfig, plan, script, registry):
 
     trace = TraceLog(records=records, config_fingerprint=config.fingerprint())
     reports = protocol.collect_reports(hub)
-    per_round = [latencies[r] for r in sorted(latencies)]
     hold_per_round = config.n_virtual * config.hold
     stats = {
         "n_devices": config.n_virtual,

@@ -96,21 +96,15 @@ def max_wrapped_slot_size(modulus_bits: int, command_bytes: int = COMMAND_BYTES)
 class Token:
     """One token plaintext, held as the buffer that token_build seals.
 
-    Built from fields, every slot must have the layout's width; without a
-    layout the geometry is taken from the fields, with a single data field.
-    token_parse wraps a decrypted buffer instead.  The field attributes read
-    the buffer on demand, so in-place edits are always visible.
+    Built from fields, every slot must have the layout's width.  token_parse
+    wraps a decrypted buffer instead.  The field attributes read the buffer
+    on demand, so in-place edits are always visible.
     """
 
     __slots__ = ("buf", "layout")
     __hash__ = None  # the buffer is mutable
 
-    def __init__(
-        self, token_id, round, counter, toggle_bits, command_field, data_field, layout=None
-    ):
-        if layout is None:
-            slot_size = len(command_field[0]) if command_field else 0
-            layout = TokenLayout(len(command_field), slot_size, len(data_field), subfields=False)
+    def __init__(self, token_id, round, counter, toggle_bits, command_field, data_field, layout):
         if len(toggle_bits) != layout.toggle_bytes:
             raise ValueError("toggle field width does not match layout")
         if len(command_field) != layout.n_devices:

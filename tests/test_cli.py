@@ -18,6 +18,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cli_process(*argv):
+    """Run the CLI in a fresh interpreter, so an uncaught error shows on stderr."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run(
+        [sys.executable, "-m", "ringveil.cli", *argv], env=env, capture_output=True, text=True
+    )
+
+
 class TestParsing:
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "sim", "run", "--bogus")
@@ -180,6 +189,14 @@ class TestPuzzleCommands:
         assert code == cli.EXIT_VERIFY
         assert err
 
+    def test_secrets_without_phi_is_usage_error(self, tmp_path, capsys):
+        puz, sec = self.gen_toy(tmp_path, capsys)
+        sec.write_text(json.dumps({"n": 55, "key": 17}))
+        done = run_cli_process("puzzle", "verify", str(puz), "--secrets", str(sec), "--key", "17")
+        assert done.returncode == cli.EXIT_USAGE
+        assert "'phi'" in done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_gen_requires_prime_pair_together(self, tmp_path, capsys):
         code, _, _ = run_cli(
             capsys, "puzzle", "gen", "--p", "5", "--t-hat", "3",
@@ -273,6 +290,16 @@ class TestSimRun:
         )
         assert code == 0
         assert json.loads(stdout)["reports"] == 4
+
+    def test_plan_missing_a_field_is_usage_error(self, tmp_path):
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps({"format": schedule.PLAN_FORMAT}))
+        done = run_cli_process(
+            "sim", "run", "--schedule", str(plan_file), "--out-dir", str(tmp_path / "x")
+        )
+        assert done.returncode == cli.EXIT_USAGE
+        assert "'ring_size'" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_protocol_error_has_its_own_exit_code(self, capsys, tmp_path, monkeypatch):
         def refuse(*_args, **_kwargs):

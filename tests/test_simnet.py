@@ -64,13 +64,23 @@ class TestConfig:
 
 
 class TestRingConservation:
-    def test_hub_keeps_no_emit_times_after_the_run(self):
-        config = small_config(rounds=50)
-        _trace, _reports, _stats, hub, _devices = simnet._run_ring(
-            config, None, None, simnet.registry_for(config)
-        )
-        assert hub.round == 50
-        assert hub.t_beg == {}
+    def test_hub_and_device_state_does_not_grow_with_rounds(self):
+        def container_sizes(rounds):
+            config = small_config(n_physical=2, n_virtual=6, rounds=rounds)
+            _trace, _reports, _stats, hub, devices = simnet._run_ring(
+                config, None, None, simnet.registry_for(config)
+            )
+            assert hub.round == rounds
+            return [
+                {
+                    name: len(value)
+                    for name, value in vars(party).items()
+                    if isinstance(value, (list, dict, set, bytes))
+                }
+                for party in (hub, *devices.values())
+            ]
+
+        assert container_sizes(10) == container_sizes(200)
 
     def test_emulating_device_unwraps_once_per_round(self, monkeypatch):
         config = small_config(n_physical=2, n_virtual=6, rounds=40)
