@@ -197,6 +197,20 @@ class TestPuzzleCommands:
         assert "'phi'" in done.stderr
         assert "Traceback" not in done.stderr
 
+    def test_seeded_gen_output_is_pinned(self, tmp_path, capsys):
+        # No --p/--q, --key or --a: the seed draws the modulus, the key and the base.
+        puz = tmp_path / "p.hex"
+        code, _, _ = run_cli(
+            capsys, "puzzle", "gen", "--bits", "64", "--t-hat", "5", "--seed", "3",
+            "--out", str(puz),
+        )
+        assert code == 0
+        assert puz.read_text() == (
+            "00000008ceabd9e52aeeca4f00000008af12346a659bbb67000000000000000540000000"
+            "0000000000000008c51aa69697811a02000000200000000000000000000000008e85c951"
+            "e74cc03d1d259fc6aa30c364f9e87ae6\n"
+        )
+
     def test_gen_requires_prime_pair_together(self, tmp_path, capsys):
         code, _, _ = run_cli(
             capsys, "puzzle", "gen", "--p", "5", "--t-hat", "3",

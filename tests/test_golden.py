@@ -3,7 +3,8 @@
 Each run hashes its trace CSV and every frame sealed during the run (token
 frames, puzzle command ciphertexts and device wraps alike), collected by
 wrapping crypto.sym_seal.  A refactor of the token path that changes either
-digest changed the bytes on the wire.
+digest changed the bytes on the wire.  The same runs also pin the stats
+dict that simnet.run returns.
 """
 
 import hashlib
@@ -23,15 +24,15 @@ def _digests(monkeypatch, run):
         return frame
 
     monkeypatch.setattr(crypto, "sym_seal", recording_seal)
-    trace = run()
+    trace, _stats = run()
     csv_digest = hashlib.sha256(simnet.trace_to_csv(trace).encode()).hexdigest()
     return csv_digest, sealed.hexdigest()
 
 
 def _padding_ring():
     config = simnet.SimConfig(n_physical=3, n_virtual=64, jitter=40, rounds=4, seed=11)
-    trace, _reports, _stats = simnet.run(config)
-    return trace
+    trace, _reports, stats = simnet.run(config)
+    return trace, stats
 
 
 def _scheduled_ring():
@@ -51,7 +52,7 @@ def _scheduled_ring():
     trace, reports, stats = simnet.run(config, plan, script=order.effective_script())
     assert len(reports) == 6
     assert stats["uploads_recovered"] == 8
-    return trace
+    return trace, stats
 
 
 def _star_baseline():
@@ -66,8 +67,8 @@ def _star_baseline():
         ("read", 5),
         ("set", 4, schedule.STATE_ON),
     )
-    trace, _reports, _stats = simnet.run(config, script=script)
-    return trace
+    trace, _reports, stats = simnet.run(config, script=script)
+    return trace, stats
 
 
 @pytest.mark.parametrize(
@@ -94,3 +95,48 @@ def _star_baseline():
 )
 def test_golden_digests(monkeypatch, run, trace_digest, frame_digest):
     assert _digests(monkeypatch, run) == (trace_digest, frame_digest)
+
+
+@pytest.mark.parametrize(
+    "run, expected",
+    [
+        (
+            _padding_ring,
+            {
+                "n_devices": 64,
+                "rounds": 4,
+                "mean_latency_us": 203170.25,
+                "var_latency_us": 507.1875,
+                "t_sum_mean_us": 196770.25,
+                "mean_token_bytes": 25076.0,
+                "uploads_recovered": 0,
+            },
+        ),
+        (
+            _scheduled_ring,
+            {
+                "n_devices": 6,
+                "rounds": 12,
+                "mean_latency_us": 5171.0,
+                "var_latency_us": 0.0,
+                "t_sum_mean_us": 4571.0,
+                "mean_token_bytes": 1527.0,
+                "uploads_recovered": 8,
+            },
+        ),
+        (
+            _star_baseline,
+            {
+                "n_devices": 5,
+                "rounds": 3,
+                "mean_latency_us": 794.8666666666667,
+                "var_latency_us": 93756.24888888889,
+                "mean_token_bytes": 109.71428571428571,
+            },
+        ),
+    ],
+    ids=["padding_ring", "scheduled_ring", "star_baseline"],
+)
+def test_golden_stats(run, expected):
+    _trace, stats = run()
+    assert stats == expected
