@@ -25,12 +25,9 @@ FAIL_TO_REJECT = "fail-to-reject"
 
 @dataclass(frozen=True)
 class AdversaryConfig:
-    squaring_rate: float = 1.0  # squarings per microsecond the observer can do
     significance: float = DEFAULT_SIGNIFICANCE
 
     def __post_init__(self):
-        if self.squaring_rate <= 0:
-            raise ValueError("squaring_rate must be positive")
         if not 0 < self.significance <= 0.1:
             raise ValueError("significance must lie in (0, 0.1]")
 
@@ -177,16 +174,14 @@ def record_attack(puzzles, target, *, trials=1000, rng_seed=0) -> float:
     return hits / trials
 
 
-def clone_attack(puzzle, cfg: AdversaryConfig, device_rate, *, phi=None):
+def clone_attack(puzzle, *, phi=None):
     """Race an eavesdropper who copied the puzzle against the real device.
 
-    Both parties solve; the squaring counts are the ones each solve reports,
-    so the result is independent of cfg.squaring_rate: owning a faster machine
-    shrinks wall time but never the count.  Passing phi hands the observer
-    the trapdoor (control condition): the chain is bypassed entirely.
+    Both parties solve; the result is the squaring count each solve reports,
+    which a faster machine shortens in wall time but never lowers.  Passing
+    phi hands the observer the trapdoor (control condition): the chain is
+    bypassed entirely.
     """
-    if device_rate <= 0:
-        raise ValueError("device_rate must be positive")
     if phi is None:
         adv = crypto.puzzle_solve(puzzle)
     else:

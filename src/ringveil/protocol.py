@@ -5,8 +5,12 @@ the per-device puzzle slots in the next token round, and keeps every later
 round's token identical in shape: unused slots and the data field carry fresh
 random bytes.  Devices pull their slot, solve the puzzle between token
 arrivals, actuate when the squaring chain completes, and push execution
-reports back through the XOR-concealed data field.  The owner finally checks
-each report against its trapdoor and the plan's ordering constraints.
+reports back through the XOR-concealed data field, each in its own sub-field
+once the hub grants it.  The owner finally checks each report against its
+trapdoor and the plan's ordering constraints.
+
+Every hop handler edits the party state it is given in place and returns
+only what goes on the wire: the frame to send, or None where nothing is sent.
 """
 
 import random
@@ -192,8 +196,8 @@ def _try_take_puzzle(state: DeviceState, t: token.Token, now: int):
     state.solve_residue = puzzle.a % puzzle.n
 
 
-def device_on_token(state: DeviceState, frame: bytes, now: int):
-    """Process one token arrival; returns (state, frame to forward).
+def device_on_token(state: DeviceState, frame: bytes, now: int) -> bytes:
+    """Process one token arrival; returns the frame to forward.
 
     The decrypted token is edited in place: the counter, this device's toggle
     bit and its own sub-field, nothing else.  `now` is the receive time,
@@ -225,8 +229,7 @@ def device_on_token(state: DeviceState, frame: bytes, now: int):
     state.last_counter = t.counter
     state.seal_count += 1
     nonce = (state.device_id << _NONCE_POSITION_SHIFT) | state.seal_count
-    forwarded = token.token_build(t, state.ring_key, state.layout, nonce)
-    return state, forwarded
+    return token.token_build(t, state.ring_key, nonce)
 
 
 def enqueue_upload(state: DeviceState, record: bytes):
@@ -239,26 +242,26 @@ def enqueue_upload(state: DeviceState, record: bytes):
     state.upload_queue.append(len(record).to_bytes(2, "big") + record)
 
 
-def device_tick(state: DeviceState, budget: int, now: int = 0) -> DeviceState:
+def device_tick(state: DeviceState, budget: int, now: int = 0):
     """Advance the squaring chain by up to `budget` steps; actuate on completion."""
     if state.pending_puzzle is None or budget <= 0:
-        return state
+        return
     puzzle = state.pending_puzzle
     steps = min(budget, puzzle.t_hat - state.solve_progress)
     state.solve_residue = crypto._square_chain(state.solve_residue, puzzle.n, steps)
     state.solve_progress += steps
     if state.solve_progress < puzzle.t_hat:
-        return state
+        return
 
     try:
         solution = crypto.recover_solution(puzzle, state.solve_residue, state.solve_progress)
         _state, command_device, _seq = schedule.decode_command(solution.command)
     except (crypto.AuthenticationError, crypto.FramingError):
         state.pending_puzzle = None
-        return state
+        return
     state.pending_puzzle = None
     if command_device != state.device_id:
-        return state
+        return
 
     t_com = now + state.clock_skew
     state.actuated = (solution.command, t_com)
@@ -269,7 +272,6 @@ def device_tick(state: DeviceState, budget: int, now: int = 0) -> DeviceState:
         solution=state.solve_residue,
     )
     enqueue_upload(state, report_to_bytes(report))
-    return state
 
 
 @dataclass
@@ -322,8 +324,9 @@ def _fill_slot(state: HubState, payload: Optional[bytes]) -> bytes:
     return len(payload).to_bytes(2, "big") + payload + padding
 
 
-def hub_emit_token(state: HubState, now: int):
-    """Start a round: deliver a pending plan once, pad everything else."""
+def hub_emit_token(state: HubState) -> bytes:
+    """Start a round: deliver a pending plan once, pad everything else, and
+    mark last round's requests as granted; returns the frame to send."""
     state.round += 1
     round_no = state.round
 
@@ -336,10 +339,7 @@ def hub_emit_token(state: HubState, now: int):
     b_r = state.rng.randbytes(state.layout.data_capacity)
     state.random_field_log[round_no] = b_r
 
-    state.pending_grants = set(state.requests)
-    if not state.layout.subfields and len(state.pending_grants) > 1:
-        state.pending_grants = {min(state.pending_grants)}
-    state.requests -= state.pending_grants
+    state.pending_grants, state.requests = state.requests, set()
 
     t = token.Token(
         token_id=round_no,
@@ -354,11 +354,10 @@ def hub_emit_token(state: HubState, now: int):
         t.set_toggle(idx, True)
 
     state.seal_count += 1
-    frame = token.token_build(t, state.ring_key, state.layout, state.seal_count)
-    return state, frame
+    return token.token_build(t, state.ring_key, state.seal_count)
 
 
-def hub_on_token(state: HubState, frame: bytes, now: int) -> HubState:
+def hub_on_token(state: HubState, frame: bytes):
     """Finish a round: recover granted uploads, collect new requests."""
     t = token.token_parse(frame, state.ring_key, state.layout)
 
@@ -367,14 +366,13 @@ def hub_on_token(state: HubState, frame: bytes, now: int) -> HubState:
     if b_r is not None:
         for idx in sorted(state.pending_grants):
             start, end = state.layout.subfield_bounds(idx)
-            recovered = token.data_recover(t.subfield(idx), b_r[start:end])
+            recovered = token.data_overwrite(t.subfield(idx), b_r[start:end])
             length = int.from_bytes(recovered[:2], "big")
             if 0 < length <= len(recovered) - 2:
                 state.recovered.append((t.round, idx + 1, recovered[2 : 2 + length]))
     # Grant bits were consumed this round; anything else set is a new request.
     state.requests |= returned_bits - state.pending_grants
     state.pending_grants = set()
-    return state
 
 
 def collect_reports(state: HubState):
@@ -411,6 +409,8 @@ def owner_verify_execution(
             return False
 
     for earlier, later in plan.pairs:
+        if earlier not in by_device or later not in by_device:
+            return False  # the pair names a device with no plan entry
         if by_device[earlier].t_com > by_device[later].t_com:
             return False
     return True

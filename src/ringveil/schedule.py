@@ -401,10 +401,6 @@ def plan_from_json(text: str) -> SchedulePlan:
         ring_size = json_field(doc, "ring_size", int)
     else:
         raise ValueError("not a schedule plan document")
-    pairs = json_field(doc, "pairs", list)
-    for pair in pairs:
-        if not (isinstance(pair, list) and len(pair) == 2 and all(type(d) is int for d in pair)):
-            raise ValueError("field 'pairs' must hold [earlier, later] device-id pairs")
     entries = tuple(
         PlanEntry(
             device_id=json_field(e, "device_id", int),
@@ -415,6 +411,12 @@ def plan_from_json(text: str) -> SchedulePlan:
         )
         for e in json_field(doc, "entries", list)
     )
+    pairs = json_field(doc, "pairs", list)
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(type(d) is int for d in pair)):
+            raise ValueError("field 'pairs' must hold [earlier, later] device-id pairs")
+        if not set(pair) <= {e.device_id for e in entries}:
+            raise ValueError(f"pair {pair} names a device with no plan entry")
     return SchedulePlan(
         entries=entries,
         slot_length=json_field(doc, "slot_length", int),

@@ -197,7 +197,7 @@ def _run_ring(config: SimConfig, plan, script, registry):
     while events:
         now, _sequence, kind, data = heapq.heappop(events)
         if kind == _EMIT:
-            hub, frame = protocol.hub_emit_token(hub, now)
+            frame = protocol.hub_emit_token(hub)
             current_round, round_start = hub.round, now
             transmit(now, protocol.HUB_ID, 1, frame)
         elif kind == _DEVICE_RX:
@@ -205,7 +205,7 @@ def _run_ring(config: SimConfig, plan, script, registry):
             records.append((now, src, dst, len(frame), current_round))
             state = devices[dst]
             held = state.pending_puzzle
-            state, out = protocol.device_on_token(state, frame, now)
+            out = protocol.device_on_token(state, frame, now)
             if state.pending_puzzle is not None and state.pending_puzzle is not held:
                 # a puzzle taken on this hop: schedule its solve once
                 remaining = state.pending_puzzle.t_hat - state.solve_progress
@@ -219,7 +219,7 @@ def _run_ring(config: SimConfig, plan, script, registry):
         elif kind == _HUB_RX:
             src, dst, frame = data
             records.append((now, src, dst, len(frame), current_round))
-            hub = protocol.hub_on_token(hub, frame, now)
+            protocol.hub_on_token(hub, frame)
             per_round.append(now - round_start)
             if hub.round < config.rounds:
                 heapq.heappush(events, (now + config.hold, next(sequence), _EMIT, None))

@@ -14,13 +14,14 @@ The plaintext is one buffer; TokenLayout computes its offsets once:
     16                       ceil(n_devices / 8)    toggle bits, device i is
                                                     bit i % 8 of byte i // 8
     slots_at + i*slot_size   slot_size              command slot of device i
-    data_at                  data_capacity          data field, one sub-field
-                                                    per device (or one shared)
+    data_at                  data_capacity          data field, one equal
+                                                    sub-field per device
 
 The frame is nonce(12) || AES-GCM(plaintext) || tag(16).  token_parse
 decrypts a frame straight into a fresh buffer; a device hop edits that buffer
 in place (the counter, its own toggle bit, its own sub-field) and token_build
-seals it again, so a hop never copies or re-checks the other slots.
+seals it again under the token's own layout, so a hop never copies or
+re-checks the other slots.
 """
 
 from dataclasses import dataclass, field
@@ -39,21 +40,19 @@ class TokenLayout:
     n_devices: int
     slot_size: int
     data_capacity: int
-    subfields: bool = True
     toggle_bytes: int = field(init=False, repr=False, compare=False)
     slots_at: int = field(init=False, repr=False, compare=False)
     data_at: int = field(init=False, repr=False, compare=False)
     plaintext_size: int = field(init=False, repr=False, compare=False)
     frame_size: int = field(init=False, repr=False, compare=False)
-    shape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_devices < 1:
             raise ValueError("layout needs at least one device")
         if self.slot_size < 1 or self.data_capacity < 0:
             raise ValueError("slot size must be positive; data capacity non-negative")
-        if self.subfields and self.data_capacity % self.n_devices != 0:
-            raise ValueError("sub-field mode needs data capacity divisible by device count")
+        if self.data_capacity % self.n_devices != 0:
+            raise ValueError("data capacity must split evenly across the devices")
         toggle_bytes = (self.n_devices + 7) // 8
         slots_at = _HEADER_BYTES + toggle_bytes
         data_at = slots_at + self.n_devices * self.slot_size
@@ -64,7 +63,6 @@ class TokenLayout:
             data_at=data_at,
             plaintext_size=plaintext_size,
             frame_size=plaintext_size + crypto.NONCE_BYTES + crypto.TAG_BYTES,
-            shape=(self.n_devices, self.slot_size, self.data_capacity),
         )
         for name, value in offsets.items():
             object.__setattr__(self, name, value)
@@ -76,9 +74,8 @@ class TokenLayout:
     def subfield_bounds(self, device_index: int):
         """Byte range of one device's share of the data field."""
         self._check_index(device_index)
-        width = self.data_capacity // self.n_devices if self.subfields else self.data_capacity
-        start = device_index * width if self.subfields else 0
-        return start, start + width
+        width = self.data_capacity // self.n_devices
+        return device_index * width, (device_index + 1) * width
 
 
 def max_wrapped_slot_size(modulus_bits: int, command_bytes: int = COMMAND_BYTES) -> int:
@@ -136,7 +133,7 @@ class Token:
     def __eq__(self, other):
         if not isinstance(other, Token):
             return NotImplemented
-        return self.layout.shape == other.layout.shape and self.buf == other.buf
+        return self.layout == other.layout and self.buf == other.buf
 
     @property
     def token_id(self) -> int:
@@ -197,10 +194,9 @@ class Token:
         self.buf[span] = data_overwrite(self.buf[span], operand)
 
 
-def token_build(t: Token, ring_key: bytes, layout: TokenLayout, nonce: int) -> bytes:
-    """Seal the token buffer under nonce, which must never repeat under ring_key."""
-    if t.layout.shape != layout.shape or len(t.buf) != layout.plaintext_size:
-        raise ValueError(f"token of shape {t.layout.shape} does not fit layout {layout.shape}")
+def token_build(t: Token, ring_key: bytes, nonce: int) -> bytes:
+    """Seal the token buffer, laid out by t.layout, under nonce, which must
+    never repeat under ring_key."""
     return crypto.sym_seal(t.buf, ring_key, nonce)
 
 
@@ -220,10 +216,6 @@ def data_overwrite(random_bits: bytes, generated_bits: bytes) -> bytes:
         raise ValueError("overwrite operands must be the same length")
     mixed = int.from_bytes(random_bits, "big") ^ int.from_bytes(generated_bits, "big")
     return mixed.to_bytes(len(random_bits), "big")
-
-
-def data_recover(overwritten: bytes, random_bits: bytes) -> bytes:
-    return data_overwrite(overwritten, random_bits)
 
 
 def toggle_read(t: Token):

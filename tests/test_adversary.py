@@ -36,10 +36,6 @@ class TestConfig:
             with pytest.raises(ValueError):
                 adversary.AdversaryConfig(significance=bad)
 
-    def test_rate_positive(self):
-        with pytest.raises(ValueError):
-            adversary.AdversaryConfig(squaring_rate=0)
-
 
 class TestBuildView:
     def test_star_scenario_rows(self):
@@ -209,20 +205,8 @@ class TestRecordAttack:
 class TestCloneAttack:
     def test_equal_rates_equal_counts(self):
         puzzle = make_puzzles([700])[0]
-        adv, dev = adversary.clone_attack(puzzle, CFG, 1.0)
+        adv, dev = adversary.clone_attack(puzzle)
         assert adv == dev == 700
-
-    def test_slower_adversary_takes_longer_wall_time(self):
-        puzzle = make_puzzles([900])[0]
-        slow = adversary.AdversaryConfig(squaring_rate=0.5)
-        adv, dev = adversary.clone_attack(puzzle, slow, 1.0)
-        assert adv / slow.squaring_rate > dev / 1.0
-
-    def test_faster_machine_never_lowers_count(self):
-        puzzle = make_puzzles([800])[0]
-        fast = adversary.AdversaryConfig(squaring_rate=1e6)
-        adv, _ = adversary.clone_attack(puzzle, fast, 1.0)
-        assert adv == 800
 
     def test_trapdoor_control_condition(self, monkeypatch):
         puzzle = make_puzzles([64000])[0]
@@ -234,14 +218,10 @@ class TestCloneAttack:
             return real(base, exp, mod)
 
         monkeypatch.setattr(crypto, "_modpow", counting)
-        adv, dev = adversary.clone_attack(puzzle, CFG, 1.0, phi=PARAMS.phi)
+        adv, dev = adversary.clone_attack(puzzle, phi=PARAMS.phi)
         assert adv == 0
         assert dev == 64000
         assert len(calls) == 2
-
-    def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            adversary.clone_attack(make_puzzles([10])[0], CFG, 0)
 
 
 class TestSnapshot:

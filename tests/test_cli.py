@@ -315,6 +315,26 @@ class TestSimRun:
         assert "'ring_size'" in done.stderr
         assert "Traceback" not in done.stderr
 
+    def test_plan_pair_without_an_entry_is_usage_error(self, capsys, tmp_path):
+        sched = tmp_path / "s.txt"
+        sched.write_text("device 1\ndevice 2\ndevice 3\npair 1 2\n")
+        plan_file = tmp_path / "plan.json"
+        code, _, _ = run_cli(
+            capsys, "schedule", "compile", str(sched), "--out", str(plan_file),
+            "--modulus-bits", "64", "--seed", "5",
+        )
+        assert code == 0
+        doc = json.loads(plan_file.read_text())
+        doc["pairs"] = [[1, 9]]
+        plan_file.write_text(json.dumps(doc))
+        done = run_cli_process(
+            "sim", "run", "--schedule", str(plan_file), "--modulus-bits", "64",
+            "--seed", "5", "--out-dir", str(tmp_path / "x"),
+        )
+        assert done.returncode == cli.EXIT_USAGE
+        assert "pair [1, 9]" in done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_protocol_error_has_its_own_exit_code(self, capsys, tmp_path, monkeypatch):
         def refuse(*_args, **_kwargs):
             raise protocol.ProtocolError("record exceeds sub-field capacity")

@@ -31,18 +31,19 @@ def make_ring(rng_seed=0):
 
 
 def run_round(hub, devices, now, tick_budget=0):
-    """Drive one circulation with a fixed per-hop time step of 5 us."""
-    hub, frame = protocol.hub_emit_token(hub, now)
+    """Drive one circulation with a fixed per-hop time step of 5 us; returns
+    the time after it."""
+    frame = protocol.hub_emit_token(hub)
     t = now
     for device in devices:
         t += 5
-        device, frame = protocol.device_on_token(device, frame, t)
-    hub = protocol.hub_on_token(hub, frame, t + 5)
+        frame = protocol.device_on_token(device, frame, t)
+    protocol.hub_on_token(hub, frame)
     if tick_budget:
         for device in devices:
             t += 1
             protocol.device_tick(device, tick_budget, now=t)
-    return hub, t + 5
+    return t + 5
 
 
 class TestOrders:
@@ -84,7 +85,7 @@ class TestHubEmission:
         hub, _ = make_ring()
         sizes = set()
         for i in range(5):
-            hub, frame = protocol.hub_emit_token(hub, now=i * 100)
+            frame = protocol.hub_emit_token(hub)
             sizes.add(len(frame))
         assert sizes == {LAYOUT.frame_size}
 
@@ -94,13 +95,13 @@ class TestHubEmission:
         order = protocol.owner_create_order(plan, REGISTRY)
         assert protocol.hub_accept_order(hub, order, REGISTRY.owner_keypair[1])
 
-        hub, frame1 = protocol.hub_emit_token(hub, 0)
+        frame1 = protocol.hub_emit_token(hub)
         d1 = devices[0]
-        d1, _ = protocol.device_on_token(d1, frame1, 5)
+        protocol.device_on_token(d1, frame1, 5)
         assert d1.pending_puzzle == plan.entry_for(1).puzzle
 
-        hub, frame2 = protocol.hub_emit_token(hub, 100)
-        d1, _ = protocol.device_on_token(d1, frame2, 105)
+        frame2 = protocol.hub_emit_token(hub)
+        protocol.device_on_token(d1, frame2, 105)
         # second round is padding: the stored puzzle is unchanged
         assert d1.pending_puzzle == plan.entry_for(1).puzzle
 
@@ -108,8 +109,8 @@ class TestHubEmission:
         hub, _ = make_ring()
         order = protocol.owner_create_order(build_plan(), REGISTRY)
         protocol.hub_accept_order(hub, order, REGISTRY.owner_keypair[1])
-        hub, carrying = protocol.hub_emit_token(hub, 0)
-        hub, padding = protocol.hub_emit_token(hub, 100)
+        carrying = protocol.hub_emit_token(hub)
+        padding = protocol.hub_emit_token(hub)
         assert len(carrying) == len(padding) == LAYOUT.frame_size
 
     def test_rejected_order_not_stored(self):
@@ -122,9 +123,9 @@ class TestHubEmission:
 class TestDeviceOnToken:
     def test_counter_decrement_and_forward(self):
         hub, devices = make_ring()
-        hub, frame = protocol.hub_emit_token(hub, 0)
-        device, forwarded = protocol.device_on_token(devices[0], frame, 5)
-        assert device.last_counter == N - 1
+        frame = protocol.hub_emit_token(hub)
+        forwarded = protocol.device_on_token(devices[0], frame, 5)
+        assert devices[0].last_counter == N - 1
         assert len(forwarded) == LAYOUT.frame_size
         parsed = token.token_parse(forwarded, REGISTRY.ring_key, LAYOUT)
         assert parsed.counter == N - 1
@@ -140,7 +141,7 @@ class TestDeviceOnToken:
     )
     def test_bad_frame_raises_and_leaves_state_alone(self, damage, error):
         hub, devices = make_ring()
-        hub, now = run_round(hub, devices, 0)
+        now = run_round(hub, devices, 0)
         device = devices[2]
         protocol.enqueue_upload(device, b"queued reading")
         before = (
@@ -148,7 +149,7 @@ class TestDeviceOnToken:
             device.last_token_id,
             list(device.upload_queue),
         )
-        hub, frame = protocol.hub_emit_token(hub, now)
+        frame = protocol.hub_emit_token(hub)
         with pytest.raises(error):
             protocol.device_on_token(device, damage(frame), now + 5)
         after = (
@@ -164,11 +165,11 @@ class TestDeviceOnToken:
         protocol.enqueue_upload(device, b"one")
         protocol.enqueue_upload(device, b"two")
         now = 0
-        hub, now = run_round(hub, devices, now)  # device 2 raises its bit
-        hub, frame = protocol.hub_emit_token(hub, now)  # grant round
-        _, frame = protocol.device_on_token(devices[0], frame, now + 5)
+        now = run_round(hub, devices, now)  # device 2 raises its bit
+        frame = protocol.hub_emit_token(hub)  # grant round
+        frame = protocol.device_on_token(devices[0], frame, now + 5)
         before = token.token_parse(frame, REGISTRY.ring_key, LAYOUT)
-        _, frame = protocol.device_on_token(device, frame, now + 10)
+        frame = protocol.device_on_token(device, frame, now + 10)
         after = token.token_parse(frame, REGISTRY.ring_key, LAYOUT)
 
         start, end = LAYOUT.subfield_bounds(device.slot_index)
@@ -185,12 +186,12 @@ class TestDeviceOnToken:
         hub, devices = make_ring()
         order = protocol.owner_create_order(build_plan(), REGISTRY)
         protocol.hub_accept_order(hub, order, REGISTRY.owner_keypair[1])
-        hub, frame = protocol.hub_emit_token(hub, 0)
+        frame = protocol.hub_emit_token(hub)
         device = devices[0]
-        device, fwd1 = protocol.device_on_token(device, frame, 5)
+        fwd1 = protocol.device_on_token(device, frame, 5)
         protocol.device_tick(device, 2, now=6)
         progress_before = device.solve_progress
-        device, _ = protocol.device_on_token(device, fwd1, 7)
+        protocol.device_on_token(device, fwd1, 7)
         assert device.solve_progress == progress_before  # not reset by the replay
 
     def test_expired_validity_discards_but_forwards(self):
@@ -198,21 +199,21 @@ class TestDeviceOnToken:
         plan = build_plan()
         order = protocol.owner_create_order(plan, REGISTRY)
         protocol.hub_accept_order(hub, order, REGISTRY.owner_keypair[1])
-        hub, frame = protocol.hub_emit_token(hub, 0)
+        frame = protocol.hub_emit_token(hub)
         late = plan.entries[0].puzzle.t_val + devices[0].t_diff + 1
-        device, forwarded = protocol.device_on_token(devices[0], frame, late)
-        assert device.pending_puzzle is None
+        forwarded = protocol.device_on_token(devices[0], frame, late)
+        assert devices[0].pending_puzzle is None
         assert len(forwarded) == LAYOUT.frame_size
         # control: the same frame on time yields the puzzle
         on_time = protocol.make_device(1, REGISTRY, LAYOUT)
-        on_time, _ = protocol.device_on_token(on_time, frame, late - 1)
+        protocol.device_on_token(on_time, frame, late - 1)
         assert on_time.pending_puzzle == plan.entries[0].puzzle
 
     def test_padding_slot_leaves_no_puzzle(self):
         hub, devices = make_ring()
-        hub, frame = protocol.hub_emit_token(hub, 0)
-        device, _ = protocol.device_on_token(devices[2], frame, 5)
-        assert device.pending_puzzle is None
+        frame = protocol.hub_emit_token(hub)
+        protocol.device_on_token(devices[2], frame, 5)
+        assert devices[2].pending_puzzle is None
 
 
 class TestDeviceTick:
@@ -221,9 +222,9 @@ class TestDeviceTick:
         plan = build_plan(pairs=(), base_t_hat=t_hat)
         order = protocol.owner_create_order(plan, REGISTRY)
         protocol.hub_accept_order(hub, order, REGISTRY.owner_keypair[1])
-        hub, frame = protocol.hub_emit_token(hub, 0)
+        frame = protocol.hub_emit_token(hub)
         device = devices[N - 1]  # last scheduled device gets exactly base t_hat
-        device, _ = protocol.device_on_token(device, frame, 5)
+        protocol.device_on_token(device, frame, 5)
         assert device.pending_puzzle is not None
         return device, plan
 
@@ -263,9 +264,9 @@ class TestUploadFlow:
         protocol.enqueue_upload(devices[1], payload)
 
         now = 0
-        hub, now = run_round(hub, devices, now)  # round 1: device 2 raises its bit
+        now = run_round(hub, devices, now)  # round 1: device 2 raises its bit
         assert hub.requests == {1}
-        hub, now = run_round(hub, devices, now)  # round 2: grant and upload
+        now = run_round(hub, devices, now)  # round 2: grant and upload
         assert hub.recovered == [(2, 2, payload)]
         assert hub.requests == set()
 
@@ -276,7 +277,7 @@ class TestUploadFlow:
         protocol.enqueue_upload(devices[3], payload)
         now = 0
         for _ in range(2):
-            hub, now = run_round(hub, devices, now)
+            now = run_round(hub, devices, now)
         assert hub.recovered == [(2, 4, payload)]
 
     def test_oversized_record_rejected_at_enqueue(self):
@@ -284,13 +285,23 @@ class TestUploadFlow:
         with pytest.raises(protocol.ProtocolError):
             protocol.enqueue_upload(devices[0], b"x" * LAYOUT.data_capacity)
 
+    def test_every_request_of_a_round_is_granted_in_the_next(self):
+        hub, devices = make_ring()
+        for device in devices[:3]:
+            protocol.enqueue_upload(device, b"reading from %d" % device.device_id)
+        now = run_round(hub, devices, 0)  # round 1: three devices raise their bits
+        assert hub.requests == {0, 1, 2}
+        run_round(hub, devices, now)  # round 2: all three are granted
+        assert hub.recovered == [(2, d, b"reading from %d" % d) for d in (1, 2, 3)]
+        assert hub.requests == set()
+
     def test_two_records_drain_over_rounds(self):
         hub, devices = make_ring()
         protocol.enqueue_upload(devices[0], b"first")
         protocol.enqueue_upload(devices[0], b"second")
         now = 0
         for _ in range(5):
-            hub, now = run_round(hub, devices, now)
+            now = run_round(hub, devices, now)
         assert [payload for _, _, payload in hub.recovered] == [b"first", b"second"]
 
 
@@ -302,7 +313,7 @@ class TestEndToEnd:
         assert protocol.hub_accept_order(hub, order, REGISTRY.owner_keypair[1])
         now = 0
         for _ in range(rounds):
-            hub, now = run_round(hub, devices, now, tick_budget=10_000)
+            now = run_round(hub, devices, now, tick_budget=10_000)
         return hub, devices, plan
 
     def test_honest_run_verifies(self):
@@ -342,6 +353,12 @@ class TestEndToEnd:
         reports = protocol.collect_reports(hub)
         reports.append(dataclasses.replace(reports[0], device_id=99))
         assert not protocol.owner_verify_execution(reports, PARAMS, plan)
+
+    def test_pair_naming_a_device_without_an_entry_rejected(self):
+        hub, _, plan = self.drive(pairs=((1, 2),))
+        reports = protocol.collect_reports(hub)
+        dangling = dataclasses.replace(plan, pairs=((1, 9),))
+        assert not protocol.owner_verify_execution(reports, PARAMS, dangling)
 
     def test_missing_report_rejected(self):
         hub, _, plan = self.drive(pairs=((1, 2),))

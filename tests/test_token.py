@@ -35,10 +35,6 @@ class TestLayout:
         spans = [LAYOUT.subfield_bounds(i) for i in range(4)]
         assert spans == [(0, 8), (8, 16), (16, 24), (24, 32)]
 
-    def test_single_field_mode(self):
-        layout = token.TokenLayout(4, 16, 32, subfields=False)
-        assert layout.subfield_bounds(2) == (0, 32)
-
     def test_indivisible_subfields_rejected(self):
         with pytest.raises(ValueError):
             token.TokenLayout(n_devices=3, slot_size=8, data_capacity=32)
@@ -58,13 +54,13 @@ class TestLayout:
 class TestTokenCodec:
     def test_roundtrip(self):
         t = random_token(random.Random(1))
-        frame = token.token_build(t, KEY, LAYOUT, nonce=9)
+        frame = token.token_build(t, KEY, nonce=9)
         assert token.token_parse(frame, KEY, LAYOUT) == t
 
     def test_constant_frame_size(self):
         rng = random.Random(2)
         sizes = {
-            len(token.token_build(random_token(rng), KEY, LAYOUT, nonce=i))
+            len(token.token_build(random_token(rng), KEY, nonce=i))
             for i in range(20)
         }
         assert sizes == {LAYOUT.frame_size}
@@ -73,18 +69,18 @@ class TestTokenCodec:
         rng = random.Random(3)
         carrying = random_token(rng, command_field=tuple(b"\xaa" * 16 for _ in range(4)))
         padding = random_token(rng)
-        a = token.token_build(carrying, KEY, LAYOUT, nonce=1)
-        b = token.token_build(padding, KEY, LAYOUT, nonce=2)
+        a = token.token_build(carrying, KEY, nonce=1)
+        b = token.token_build(padding, KEY, nonce=2)
         assert len(a) == len(b)
 
     def test_wrong_length_is_framing_error(self):
         t = random_token(random.Random(4))
-        frame = token.token_build(t, KEY, LAYOUT, nonce=1)
+        frame = token.token_build(t, KEY, nonce=1)
         with pytest.raises(crypto.FramingError):
             token.token_parse(frame[:-1], KEY, LAYOUT)
 
     def test_tampering_is_authentication_error(self):
-        frame = bytearray(token.token_build(random_token(random.Random(5)), KEY, LAYOUT, nonce=1))
+        frame = bytearray(token.token_build(random_token(random.Random(5)), KEY, nonce=1))
         frame[20] ^= 0x40
         with pytest.raises(crypto.AuthenticationError):
             token.token_parse(bytes(frame), KEY, LAYOUT)
@@ -95,7 +91,7 @@ class TestTokenCodec:
 
     def test_counter_survives_negative_values(self):
         t = random_token(random.Random(7), counter=-3)
-        frame = token.token_build(t, KEY, LAYOUT, nonce=1)
+        frame = token.token_build(t, KEY, nonce=1)
         assert token.token_parse(frame, KEY, LAYOUT).counter == -3
 
 
@@ -103,9 +99,8 @@ class TestTokenCodec:
 def layout_and_fields(draw):
     n = draw(st.integers(1, 20))
     slot_size = draw(st.integers(1, 40))
-    subfields = draw(st.booleans())
-    capacity = n * draw(st.integers(0, 12)) if subfields else draw(st.integers(0, 100))
-    layout = token.TokenLayout(n, slot_size, capacity, subfields)
+    capacity = n * draw(st.integers(0, 12))
+    layout = token.TokenLayout(n, slot_size, capacity)
     fields = dict(
         token_id=draw(st.integers(0, 2**64 - 1)),
         round=draw(st.integers(0, 2**32 - 1)),
@@ -125,7 +120,7 @@ class TestTokenBuffer:
     def test_roundtrip_over_random_layouts(self, case, nonce):
         layout, fields = case
         t = token.Token(**fields, layout=layout)
-        frame = token.token_build(t, KEY, layout, nonce=nonce)
+        frame = token.token_build(t, KEY, nonce=nonce)
         assert len(frame) == layout.frame_size
         parsed = token.token_parse(frame, KEY, layout)
         assert parsed == t
@@ -141,15 +136,9 @@ class TestTokenBuffer:
                 command_field=tuple(slots), data_field=fields.data_field, layout=LAYOUT,
             )
 
-    def test_shape_mismatch_with_equal_length_rejected_at_build(self):
-        # 2 slots of 32 bytes seal to the same length as 4 slots of 16.
-        t = random_token(random.Random(14), layout=token.TokenLayout(2, 32, 32))
-        with pytest.raises(ValueError):
-            token.token_build(t, KEY, LAYOUT, nonce=1)
-
     def test_in_place_edits_touch_only_their_bytes(self):
         t = random_token(random.Random(15))
-        t = token.token_parse(token.token_build(t, KEY, LAYOUT, nonce=1), KEY, LAYOUT)
+        t = token.token_parse(token.token_build(t, KEY, nonce=1), KEY, LAYOUT)
         before = bytes(t.buf)
         t.counter -= 1
         t.set_toggle(2, True)
@@ -166,7 +155,7 @@ class TestTokenBuffer:
 class TestDataConcealment:
     def test_known_xor(self):
         assert token.data_overwrite(b"\xa5", b"\x3c") == b"\x99"
-        assert token.data_recover(b"\x99", b"\xa5") == b"\x3c"
+        assert token.data_overwrite(b"\x99", b"\xa5") == b"\x3c"
 
     def test_zero_payload_passes_random_through(self):
         r = bytes(range(16))
@@ -180,7 +169,7 @@ class TestDataConcealment:
     @given(st.binary(min_size=0, max_size=256), st.integers(0, 2**32))
     def test_roundtrip_involution(self, generated, seed):
         r = random.Random(seed).randbytes(len(generated))
-        assert token.data_recover(token.data_overwrite(r, generated), r) == generated
+        assert token.data_overwrite(token.data_overwrite(r, generated), r) == generated
 
     def test_overwritten_field_stays_uniform(self):
         # XOR with uniform random bytes should leave the byte histogram flat
@@ -199,7 +188,7 @@ class TestDataConcealment:
 class TestNonce:
     def test_build_requires_a_nonce(self):
         with pytest.raises(TypeError):
-            token.token_build(random_token(random.Random(13)), KEY, LAYOUT)
+            token.token_build(random_token(random.Random(13)), KEY)
 
 
 class TestToggles:
