@@ -10,7 +10,6 @@ geometry fingerprint so any output can be reproduced byte for byte.
 """
 
 import argparse
-import math
 import json
 import os
 import random
@@ -63,17 +62,18 @@ def _int_list(text: str):
 
 
 def _network_flags(parser):
-    parser.add_argument("--rounds", type=int, default=10)
+    defaults = simnet.SimConfig()
+    parser.add_argument("--rounds", type=int, default=defaults.rounds)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--hop-latency", type=int, default=500)
-    parser.add_argument("--jitter", type=int, default=0)
-    parser.add_argument("--bandwidth", type=int, default=10)
-    parser.add_argument("--squaring-rate", type=int, default=1,
+    parser.add_argument("--hop-latency", type=int, default=defaults.hop_latency)
+    parser.add_argument("--jitter", type=int, default=defaults.jitter)
+    parser.add_argument("--bandwidth", type=int, default=defaults.bandwidth)
+    parser.add_argument("--squaring-rate", type=int, default=defaults.squarings_per_tick,
                         help="device squarings per microsecond (S)")
-    parser.add_argument("--hold", type=int, default=100)
-    parser.add_argument("--modulus-bits", type=int, default=crypto.DEFAULT_MODULUS_BITS)
-    parser.add_argument("--data-per-device", type=int, default=64)
-    parser.add_argument("--command-interval", type=int, default=10_000_000)
+    parser.add_argument("--hold", type=int, default=defaults.hold)
+    parser.add_argument("--modulus-bits", type=int, default=defaults.modulus_bits)
+    parser.add_argument("--data-per-device", type=int, default=defaults.data_per_device)
+    parser.add_argument("--command-interval", type=int, default=defaults.command_interval)
 
 
 def _config_from_args(args, n_physical, n_virtual=None, topology=simnet.RING):
@@ -109,11 +109,11 @@ def _params_for(config) -> crypto.PuzzleParams:
     )
 
 
-def _compile_plan(order, config):
+def _compile_plan(order, config, params):
     return schedule.compile(
         order,
         simnet.registry_for(config),
-        _params_for(config),
+        params,
         simnet.predicted_forward_times(config),
         rng_seed=config.seed,
         squarings_per_unit=config.squarings_per_tick,
@@ -128,10 +128,10 @@ def _cmd_schedule_compile(args):
         text = fh.read()
     order = schedule.parse_schedule_text(text)
     config = _config_from_args(args, n_physical=max(len(order.devices), 1))
-    plan = _compile_plan(order, config)
+    params = _params_for(config)
+    plan = _compile_plan(order, config, params)
     _write(args.out, schedule.plan_to_json(plan))
     if args.params_out:
-        params = _params_for(config)
         _write(
             args.params_out,
             json.dumps({"p": params.p, "q": params.q, "n": params.n,
@@ -162,11 +162,7 @@ def _cmd_puzzle_gen(args):
     else:
         params = crypto.gen_params(args.bits, rng_seed=crypto.derive_seed(seed, "params"))
     key = args.key if args.key is not None else rng.randrange(params.n)
-    a = args.a
-    if a is None:
-        a = rng.randrange(2, params.n)
-        while math.gcd(a, params.n) != 1:
-            a = rng.randrange(2, params.n)
+    a = args.a if args.a is not None else crypto.random_base(rng, params.n)
     puzzle = crypto.puzzle_create(
         params, a, args.t_hat, args.command.encode(), key, args.t_val
     )
@@ -270,7 +266,7 @@ def _load_schedule_input(path, config, topology):
     script = order.effective_script()
     if topology == simnet.STAR:
         return None, script
-    return _compile_plan(order, config), script
+    return _compile_plan(order, config, _params_for(config)), script
 
 
 def _cmd_sim_run(args):

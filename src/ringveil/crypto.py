@@ -143,7 +143,15 @@ def gen_params(bit_length: int, rng_seed) -> PuzzleParams:
     q = _gen_prime(q_bits, rng)
     while q == p:
         q = _gen_prime(q_bits, rng)
-    return PuzzleParams(p=p, q=q, n=p * q, phi=(p - 1) * (q - 1), bit_length=(p * q).bit_length())
+    return PuzzleParams.from_primes(p, q)
+
+
+def random_base(rng: random.Random, n: int) -> int:
+    """A puzzle base drawn from [2, n), redrawn until it is coprime to n."""
+    while True:
+        a = rng.randrange(2, n)
+        if math.gcd(a, n) == 1:
+            return a
 
 
 def _key_to_aes(key: int) -> bytes:

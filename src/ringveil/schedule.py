@@ -12,7 +12,6 @@ checks for cycles and sets the order in which devices are assigned.
 
 import heapq
 import json
-import math
 import random
 from dataclasses import dataclass, field
 
@@ -203,13 +202,6 @@ def decode_command(buf: bytes):
     return state, int.from_bytes(buf[1:5], "big"), int.from_bytes(buf[5:13], "big")
 
 
-def _random_base(rng: random.Random, n: int) -> int:
-    while True:
-        a = rng.randrange(2, n)
-        if math.gcd(a, n) == 1:
-            return a
-
-
 def compile(
     order: PartialOrder,
     registry: crypto.KeyRegistry,
@@ -260,7 +252,7 @@ def compile(
     for seq, device_id in enumerate(d for d in extension if d in order.devices):
         command = encode_command(order.state_of(device_id), device_id, seq)
         key = rng.randrange(1, params.n)
-        a = _random_base(rng, params.n)
+        a = crypto.random_base(rng, params.n)
         puzzle = crypto.puzzle_create(params, a, bounds[device_id], command, key, t_val)
         wrapped = crypto.wrap_for_device(
             crypto.puzzle_to_bytes(puzzle), registry.device_public(device_id), rng

@@ -136,6 +136,19 @@ def predicted_forward_times(config: SimConfig):
 _EMIT, _DEVICE_RX, _HUB_RX, _SOLVE = range(4)
 
 
+def _stats(config: SimConfig, rounds: int, latencies, records) -> dict:
+    """The statistics both topologies report, over their latencies and frames."""
+    return {
+        "n_devices": config.n_virtual,
+        "rounds": rounds,
+        "mean_latency_us": statistics.fmean(latencies) if latencies else 0.0,
+        "var_latency_us": statistics.pvariance(latencies) if len(latencies) > 1 else 0.0,
+        "mean_token_bytes": (
+            statistics.fmean(size for _, _, _, size, _ in records) if records else 0.0
+        ),
+    }
+
+
 def _check_plan(config: SimConfig, plan, registry):
     if plan.ring_size != config.n_physical:
         raise ValueError(
@@ -234,19 +247,11 @@ def _run_ring(config: SimConfig, plan, script, registry):
     trace = TraceLog(records=records, config_fingerprint=config.fingerprint())
     reports = protocol.collect_reports(hub)
     hold_per_round = config.n_virtual * config.hold
-    stats = {
-        "n_devices": config.n_virtual,
-        "rounds": len(per_round),
-        "mean_latency_us": statistics.fmean(per_round) if per_round else 0.0,
-        "var_latency_us": statistics.pvariance(per_round) if len(per_round) > 1 else 0.0,
-        "t_sum_mean_us": (
-            statistics.fmean(lat - hold_per_round for lat in per_round) if per_round else 0.0
-        ),
-        "mean_token_bytes": (
-            statistics.fmean(size for _, _, _, size, _ in records) if records else 0.0
-        ),
-        "uploads_recovered": len(hub.recovered),
-    }
+    stats = _stats(config, len(per_round), per_round, records)
+    stats["t_sum_mean_us"] = (
+        statistics.fmean(lat - hold_per_round for lat in per_round) if per_round else 0.0
+    )
+    stats["uploads_recovered"] = len(hub.recovered)
     return trace, reports, stats, hub, devices
 
 
@@ -282,16 +287,7 @@ def _run_star(config: SimConfig, plan, script):
 
     records.sort(key=lambda r: (r[0], r[4]))
     trace = TraceLog(records=records, config_fingerprint=config.fingerprint())
-    stats = {
-        "n_devices": config.n_virtual,
-        "rounds": config.rounds,
-        "mean_latency_us": statistics.fmean(latencies) if latencies else 0.0,
-        "var_latency_us": statistics.pvariance(latencies) if len(latencies) > 1 else 0.0,
-        "mean_token_bytes": (
-            statistics.fmean(size for _, _, _, size, _ in records) if records else 0.0
-        ),
-    }
-    return trace, [], stats
+    return trace, [], _stats(config, config.rounds, latencies, records)
 
 
 def run(config: SimConfig, plan=None, *, script=None, registry=None):

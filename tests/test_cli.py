@@ -98,6 +98,30 @@ class TestScheduleCompile:
         assert reports
         assert protocol.owner_verify_execution(reports, params, plan)
 
+    def test_params_out_generates_params_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        gen_params = crypto.gen_params
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return gen_params(*args, **kwargs)
+
+        monkeypatch.setattr(crypto, "gen_params", counting)
+        sched = tmp_path / "s.txt"
+        sched.write_text(SCHED_TEXT)
+        plan_path = tmp_path / "plan.json"
+        params_path = tmp_path / "params.json"
+        code, _, _ = run_cli(
+            capsys, "schedule", "compile", str(sched),
+            "--out", str(plan_path), "--params-out", str(params_path),
+            "--modulus-bits", "64", "--seed", "3",
+        )
+        assert code == 0
+        assert len(calls) == 1
+        n = json.loads(params_path.read_text())["n"]
+        plan = schedule.plan_from_json(plan_path.read_text())
+        assert {e.puzzle.n for e in plan.entries} == {n}
+
     @pytest.mark.parametrize("rate, slot_length", [("1", 3082), ("7", 2225)])
     def test_summary_json_is_pinned(self, tmp_path, capsys, rate, slot_length):
         sched = tmp_path / "s.txt"
@@ -343,6 +367,19 @@ class TestSimRun:
         code, _, err = run_cli(capsys, "sim", "run", "--out-dir", str(tmp_path / "x"))
         assert code == cli.EXIT_PROTOCOL
         assert "protocol failure" in err
+
+    def test_network_defaults_are_the_config_defaults(self, capsys, tmp_path, monkeypatch):
+        seen = []
+
+        def record(config, *_args, **_kwargs):
+            seen.append(config)
+            raise protocol.ProtocolError("stop after building the config")
+
+        monkeypatch.delenv("RINGVEIL_SEED", raising=False)
+        monkeypatch.setattr(simnet, "run", record)
+        code, _, _ = run_cli(capsys, "sim", "run", "--out-dir", str(tmp_path / "x"))
+        assert code == cli.EXIT_PROTOCOL
+        assert seen == [simnet.SimConfig(n_physical=3)]
 
     def test_env_seed_fallback(self, capsys, tmp_path, monkeypatch):
         dir_a, _ = self.run_ring(capsys, tmp_path, "flagged")
