@@ -4,7 +4,7 @@ Each run hashes its trace CSV and every frame sealed during the run (token
 frames, puzzle command ciphertexts and device wraps alike), collected by
 wrapping crypto.sym_seal.  A refactor of the token path that changes either
 digest changed the bytes on the wire.  The same runs also pin the stats
-dict that simnet.run returns.
+dict that simnet.run returns, and the scheduled run its execution reports.
 """
 
 import hashlib
@@ -35,7 +35,7 @@ def _padding_ring():
     return trace, stats
 
 
-def _scheduled_ring():
+def _scheduled_ring_run():
     config = simnet.SimConfig(n_physical=6, rounds=12, modulus_bits=128, seed=23)
     order = schedule.parse_schedule_text(
         "device 1\ndevice 2\ndevice 3\ndevice 4\ndevice 5\ndevice 6\n"
@@ -49,7 +49,11 @@ def _scheduled_ring():
         rng_seed=23,
         squarings_per_unit=config.squarings_per_tick,
     )
-    trace, reports, stats = simnet.run(config, plan, script=order.effective_script())
+    return simnet.run(config, plan, script=order.effective_script())
+
+
+def _scheduled_ring():
+    trace, reports, stats = _scheduled_ring_run()
     assert len(reports) == 6
     assert stats["uploads_recovered"] == 8
     return trace, stats
@@ -140,3 +144,16 @@ def test_golden_digests(monkeypatch, run, trace_digest, frame_digest):
 def test_golden_stats(run, expected):
     _trace, stats = run()
     assert stats == expected
+
+
+def test_golden_reports():
+    # The trace digest never sees a report's t_com; pin every field.
+    _trace, reports, _stats = _scheduled_ring_run()
+    assert [(r.device_id, r.t_com, r.t_hat, r.solution) for r in reports] == [
+        (1, 5518, 4765, 37841044879751056259004944280852963738),
+        (2, 2506, 1000, 205811952387741253584611151010291772240),
+        (4, 5518, 2506, 237757754915977307621696178950038769697),
+        (3, 5518, 3259, 172702467481494878326696894082342217083),
+        (6, 5518, 1000, 71525902321912719439269145953589668550),
+        (5, 16060, 12295, 205699163708478405485364721377286633413),
+    ]

@@ -301,6 +301,35 @@ class TestPlanExecution:
         t_com = {r.device_id: r.t_com for r in reports}
         assert all(t_com[a] < t_com[b] for a, b in order.pairs)
 
+    def tie_config(self, rounds):
+        # The device takes its puzzle at 450 us and holds 100 us, so its
+        # 1000-squaring solve lands at 1550 us: exactly its second arrival.
+        return simnet.SimConfig(
+            n_physical=1, rounds=rounds, modulus_bits=64, seed=3,
+            hop_latency=449, bandwidth=10**6, hold=100,
+        )
+
+    def test_solve_tied_with_an_arrival_runs_first(self):
+        config = self.tie_config(rounds=4)
+        _, plan = compile_plan(config, "device 1\n")
+        _, reports, _, hub, devices = simnet._run_ring(
+            config, plan, None, simnet.registry_for(config)
+        )
+        assert devices[1].actuated == (plan.entries[0].command, 1550)
+        # the solve precedes the round-2 arrival, which raises the request;
+        # round 3 grants it and carries the report home
+        assert [r.t_com for r in reports] == [1550]
+        assert [rnd for rnd, _, _ in hub.recovered] == [3]
+
+    def test_solve_after_the_last_round_still_runs(self):
+        config = self.tie_config(rounds=1)
+        _, plan = compile_plan(config, "device 1\n")
+        _, reports, _, _, devices = simnet._run_ring(
+            config, plan, None, simnet.registry_for(config)
+        )
+        assert reports == []
+        assert devices[1].actuated == (plan.entries[0].command, 1550)
+
     def test_plan_for_another_ring_size_is_refused(self):
         _, plan = compile_plan(
             small_config(n_physical=4), "device 1\ndevice 2\ndevice 3\ndevice 4\n"
