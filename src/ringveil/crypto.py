@@ -136,7 +136,7 @@ def gen_params(bit_length: int, rng_seed) -> PuzzleParams:
         raise ValueError(
             f"modulus of {bit_length} bits is degenerate; need >= {MIN_MODULUS_BITS}"
         )
-    rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
+    rng = random.Random(rng_seed)
     p_bits = (bit_length + 1) // 2
     q_bits = bit_length // 2
     p = _gen_prime(p_bits, rng)

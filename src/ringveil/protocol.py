@@ -130,10 +130,7 @@ class DeviceState:
     layout: token.TokenLayout
     ring_key: bytes
     secret_key: object  # X25519 private key for unwrapping command slots
-    t_diff: int = DEFAULT_T_DIFF
-    clock_skew: int = 0
     pending_puzzle: Optional[crypto.Puzzle] = None
-    pending_round: int = 0
     solve_progress: int = 0
     solve_residue: int = 0
     actuated: Optional[tuple] = None  # (command bytes, t_com)
@@ -143,30 +140,19 @@ class DeviceState:
     seal_count: int = 0
     last_counter: int = 0
 
-    def __post_init__(self):
-        if abs(self.clock_skew) > self.t_diff:
-            raise ValueError("clock skew exceeds the allowed bound")
-
     @property
     def slot_index(self) -> int:
         return self.device_id - 1
 
 
 def make_device(
-    device_id: int,
-    registry: crypto.KeyRegistry,
-    layout: token.TokenLayout,
-    *,
-    t_diff: int = DEFAULT_T_DIFF,
-    clock_skew: int = 0,
+    device_id: int, registry: crypto.KeyRegistry, layout: token.TokenLayout
 ) -> DeviceState:
     return DeviceState(
         device_id=device_id,
         layout=layout,
         ring_key=registry.ring_key,
         secret_key=registry.device_secret(device_id),
-        t_diff=t_diff,
-        clock_skew=clock_skew,
     )
 
 
@@ -187,11 +173,9 @@ def _try_take_puzzle(state: DeviceState, t: token.Token, now: int):
         puzzle = crypto.puzzle_from_bytes(blob)
     except (crypto.AuthenticationError, crypto.FramingError, ValueError):
         return
-    local_now = now + state.clock_skew
-    if local_now > puzzle.t_val + state.t_diff:
+    if now > puzzle.t_val + DEFAULT_T_DIFF:
         return
     state.pending_puzzle = puzzle
-    state.pending_round = t.round
     state.solve_progress = 0
     state.solve_residue = puzzle.a % puzzle.n
 
@@ -263,11 +247,10 @@ def device_tick(state: DeviceState, budget: int, now: int = 0):
     if command_device != state.device_id:
         return
 
-    t_com = now + state.clock_skew
-    state.actuated = (solution.command, t_com)
+    state.actuated = (solution.command, now)
     report = ExecutionReport(
         device_id=state.device_id,
-        t_com=t_com,
+        t_com=now,
         t_hat=puzzle.t_hat,
         solution=state.solve_residue,
     )
@@ -305,10 +288,12 @@ def hub_accept_order(state: HubState, order: Order, owner_pk) -> bool:
     if not hub_verify_order(order, owner_pk):
         return False
     entries = _parse_commands(order.commands)
-    for device_id, _ in entries:
-        if not 1 <= device_id <= state.layout.n_devices:
-            return False
-    state.pending_plan = dict(entries)
+    plan = dict(entries)
+    if len(plan) != len(entries):
+        return False  # a device named twice
+    if not all(1 <= device_id <= state.layout.n_devices for device_id in plan):
+        return False
+    state.pending_plan = plan
     return True
 
 

@@ -243,11 +243,7 @@ def compile(
     slot_length = -(-max(bounds.values()) // squarings_per_unit)
     t_val = issued_at + 2 * slot_length
 
-    rng = (
-        rng_seed
-        if isinstance(rng_seed, random.Random)
-        else random.Random(crypto.derive_seed("plan", rng_seed))
-    )
+    rng = random.Random(crypto.derive_seed("plan", rng_seed))
     entries = []
     for seq, device_id in enumerate(d for d in extension if d in order.devices):
         command = encode_command(order.state_of(device_id), device_id, seq)
@@ -403,11 +399,15 @@ def plan_from_json(text: str) -> SchedulePlan:
         )
         for e in json_field(doc, "entries", list)
     )
+    ids = [e.device_id for e in entries]
+    for device_id in ids:
+        if ids.count(device_id) > 1:
+            raise ValueError(f"device {device_id} has more than one plan entry")
     pairs = json_field(doc, "pairs", list)
     for pair in pairs:
         if not (isinstance(pair, list) and len(pair) == 2 and all(type(d) is int for d in pair)):
             raise ValueError("field 'pairs' must hold [earlier, later] device-id pairs")
-        if not set(pair) <= {e.device_id for e in entries}:
+        if not set(pair) <= set(ids):
             raise ValueError(f"pair {pair} names a device with no plan entry")
     return SchedulePlan(
         entries=entries,

@@ -1,17 +1,18 @@
-"""Deterministic discrete-event simulation of the token ring and a star baseline.
+"""Deterministic simulation of the token ring and a star baseline.
 
 Time is integer microseconds.  Every random draw comes from generators seeded
 by hashing (seed, label) pairs, so a (config, plan, seed) triple always yields
-a byte-identical trace.  The ring carries one token at a time: the hub emits,
-each device holds it for a constant time and forwards, and a counter inside
-the token lets a few physical devices stand in for a much larger ring.
+a byte-identical trace.  The ring carries one token at a time, so a round is
+one walk: the hub emits, each device holds the token for a constant time and
+forwards it, and the hub emits the next token only once it is back.  A
+counter inside the token lets a few physical devices stand in for a much
+larger ring.  A device's puzzle solve, the only other timed step, touches
+only that device and runs just before its next token arrival.
 """
 
-import heapq
-import itertools
 import random
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ringveil import crypto, protocol, schedule, token
@@ -133,7 +134,17 @@ def predicted_forward_times(config: SimConfig):
     return [(p + 1) * per_hop for p in range(config.n_physical)]
 
 
-_EMIT, _DEVICE_RX, _HUB_RX, _SOLVE = range(4)
+def _link(config: SimConfig):
+    """The arrival instant of a frame of `size` bytes sent at `depart`: hop
+    latency, a jitter draw, then transmission.  Both topologies draw jitter
+    from one per-seed stream, one draw per frame in the order sent."""
+    jitter_rng = random.Random(crypto.derive_seed(config.seed, "jitter"))
+
+    def arrival(depart: int, size: int) -> int:
+        wobble = jitter_rng.randint(0, config.jitter) if config.jitter else 0
+        return depart + config.hop_latency + wobble + transmit_time(config, size)
+
+    return arrival
 
 
 def _stats(config: SimConfig, rounds: int, latencies, records) -> dict:
@@ -193,56 +204,45 @@ def _run_ring(config: SimConfig, plan, script, registry):
         if action[0] == "read":
             protocol.enqueue_upload(devices[action[1]], _SENSOR_RECORD)
 
-    jitter_rng = random.Random(crypto.derive_seed(config.seed, "jitter"))
-    events = []  # heap of (time, push sequence, kind, data): ties pop in push order
-    sequence = itertools.count()
+    arrival = _link(config)
     records = []
     per_round = []  # latency of each round, emit to return
-    current_round = round_start = 0
+    # device id -> instant the solve of its held puzzle completes.  A solve
+    # touches only its own device, so it runs just before that device's next
+    # token arrival (first on a tie) or, failing one, after the last round.
+    solve_at = {}
 
-    def transmit(depart: int, src: int, dst: int, frame: bytes):
-        wobble = jitter_rng.randint(0, config.jitter) if config.jitter else 0
-        arrival = depart + config.hop_latency + wobble + transmit_time(config, len(frame))
-        kind = _HUB_RX if dst == protocol.HUB_ID else _DEVICE_RX
-        heapq.heappush(events, (arrival, next(sequence), kind, (src, dst, frame)))
+    def solve(device_id: int, now: int):
+        state = devices[device_id]
+        protocol.device_tick(state, state.pending_puzzle.t_hat - state.solve_progress, now=now)
 
-    heapq.heappush(events, (0, next(sequence), _EMIT, None))
-    while events:
-        now, _sequence, kind, data = heapq.heappop(events)
-        if kind == _EMIT:
-            frame = protocol.hub_emit_token(hub)
-            current_round, round_start = hub.round, now
-            transmit(now, protocol.HUB_ID, 1, frame)
-        elif kind == _DEVICE_RX:
-            src, dst, frame = data
-            records.append((now, src, dst, len(frame), current_round))
+    now = 0
+    for _ in range(config.rounds):
+        # One walk of the token: hub, device 1, ..., hub.
+        round_start = now
+        frame = protocol.hub_emit_token(hub)
+        src, dst = protocol.HUB_ID, 1
+        while True:
+            now = arrival(now, len(frame))
+            records.append((now, src, dst, len(frame), hub.round))
+            if dst == protocol.HUB_ID:
+                break
+            if dst in solve_at and solve_at[dst] <= now:
+                solve(dst, solve_at.pop(dst))
             state = devices[dst]
             held = state.pending_puzzle
-            out = protocol.device_on_token(state, frame, now)
+            frame = protocol.device_on_token(state, frame, now)
             if state.pending_puzzle is not None and state.pending_puzzle is not held:
-                # a puzzle taken on this hop: schedule its solve once
                 remaining = state.pending_puzzle.t_hat - state.solve_progress
                 compute_us = -(-remaining // config.squarings_per_tick)
-                solve_at = now + config.hold + compute_us
-                heapq.heappush(
-                    events, (solve_at, next(sequence), _SOLVE, (dst, state.pending_round))
-                )
-            next_dst = protocol.HUB_ID if state.last_counter <= 0 else dst % n_physical + 1
-            transmit(now + config.hold, dst, next_dst, out)
-        elif kind == _HUB_RX:
-            src, dst, frame = data
-            records.append((now, src, dst, len(frame), current_round))
-            protocol.hub_on_token(hub, frame)
-            per_round.append(now - round_start)
-            if hub.round < config.rounds:
-                heapq.heappush(events, (now + config.hold, next(sequence), _EMIT, None))
-        elif kind == _SOLVE:
-            device_id, round_tag = data
-            state = devices[device_id]
-            if state.pending_puzzle is not None and state.pending_round == round_tag:
-                protocol.device_tick(
-                    state, state.pending_puzzle.t_hat - state.solve_progress, now=now
-                )
+                solve_at[dst] = now + config.hold + compute_us
+            src, dst = dst, protocol.HUB_ID if state.last_counter <= 0 else dst % n_physical + 1
+            now += config.hold
+        protocol.hub_on_token(hub, frame)
+        per_round.append(now - round_start)
+        now += config.hold
+    for device_id, at in solve_at.items():
+        solve(device_id, at)
 
     trace = TraceLog(records=records, config_fingerprint=config.fingerprint())
     reports = protocol.collect_reports(hub)
@@ -261,24 +261,18 @@ def _run_star(config: SimConfig, plan, script):
             ("set", e.device_id, schedule.STATE_ON) for e in plan.entries
         )
     script = tuple(script or ())
-    jitter_rng = random.Random(crypto.derive_seed(config.seed, "jitter"))
+    arrival = _link(config)
     records = []
     latencies = []
-
-    def wobble():
-        return jitter_rng.randint(0, config.jitter) if config.jitter else 0
 
     for ordinal, action in enumerate(script * config.rounds, start=1):
         now = (ordinal - 1) * config.command_interval
         device_id = action[1]
-        cmd_arrival = now + config.hop_latency + wobble() + transmit_time(config, STAR_COMMAND_BYTES)
+        cmd_arrival = arrival(now, STAR_COMMAND_BYTES)
         records.append((cmd_arrival, protocol.HUB_ID, device_id, STAR_COMMAND_BYTES, ordinal))
         last = cmd_arrival
         if action[0] == "read":
-            depart = cmd_arrival + config.hold
-            resp_arrival = depart + config.hop_latency + wobble() + transmit_time(
-                config, config.data_per_device
-            )
+            resp_arrival = arrival(cmd_arrival + config.hold, config.data_per_device)
             records.append(
                 (resp_arrival, device_id, protocol.HUB_ID, config.data_per_device, ordinal)
             )

@@ -233,7 +233,6 @@ class TestSnapshot:
         layout = simnet.layout_for(simnet.SimConfig(n_physical=1, modulus_bits=64))
         state = protocol.make_device(1, registry, layout)
         state.pending_puzzle = puzzle
-        state.pending_round = 1
         state.solve_residue = puzzle.a % puzzle.n
 
         protocol.device_tick(state, 500)

@@ -119,6 +119,16 @@ class TestHubEmission:
         assert not protocol.hub_accept_order(hub, order, REGISTRY.hub_keypair[1])
         assert hub.pending_plan is None
 
+    def test_order_naming_a_device_twice_not_stored(self):
+        hub, _ = make_ring()
+        plan = build_plan()
+        twice = dataclasses.replace(plan.entries[1], device_id=plan.entries[0].device_id)
+        order = protocol.owner_create_order(
+            dataclasses.replace(plan, entries=plan.entries + (twice,)), REGISTRY
+        )
+        assert not protocol.hub_accept_order(hub, order, REGISTRY.owner_keypair[1])
+        assert hub.pending_plan is None
+
 
 class TestDeviceOnToken:
     def test_counter_decrement_and_forward(self):
@@ -200,7 +210,7 @@ class TestDeviceOnToken:
         order = protocol.owner_create_order(plan, REGISTRY)
         protocol.hub_accept_order(hub, order, REGISTRY.owner_keypair[1])
         frame = protocol.hub_emit_token(hub)
-        late = plan.entries[0].puzzle.t_val + devices[0].t_diff + 1
+        late = plan.entries[0].puzzle.t_val + protocol.DEFAULT_T_DIFF + 1
         forwarded = protocol.device_on_token(devices[0], frame, late)
         assert devices[0].pending_puzzle is None
         assert len(forwarded) == LAYOUT.frame_size
@@ -244,7 +254,7 @@ class TestDeviceTick:
     def test_actuation_enqueues_matching_report(self):
         device, plan = self.make_loaded_device(t_hat=4)
         protocol.device_tick(device, 100, now=42)
-        assert device.actuated[1] == 42 + device.clock_skew
+        assert device.actuated[1] == 42
         assert len(device.upload_queue) == 1
         record = device.upload_queue[0]
         report = protocol.report_from_bytes(record[2:])

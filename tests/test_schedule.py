@@ -276,6 +276,13 @@ class TestPlanSerialization:
         with pytest.raises(ValueError, match="recompile"):
             schedule.plan_from_json(json.dumps(doc))
 
+    def test_device_with_two_entries_is_refused(self):
+        plan = schedule.compile(make_order(3, [(1, 2)]), REGISTRY, PARAMS, [10, 20, 30])
+        doc = json.loads(schedule.plan_to_json(plan))
+        doc["entries"].append(dict(doc["entries"][1], device_id=1))
+        with pytest.raises(ValueError, match="device 1 has more than one plan entry"):
+            schedule.plan_from_json(json.dumps(doc))
+
     def test_rejects_foreign_document(self):
         with pytest.raises(ValueError):
             schedule.plan_from_json('{"format": "something-else"}')
