@@ -6,6 +6,7 @@ import random
 
 import pytest
 import sympy
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -357,6 +358,26 @@ class TestKeyRegistry:
     def test_duplicate_device_rejected(self):
         with pytest.raises(ValueError):
             crypto.KeyRegistry.provision([1, 1], seed=0)
+
+    def test_provisioned_keys_are_pinned(self):
+        # Adding a key to the registry must not move any key already in it.
+        reg = crypto.KeyRegistry.provision([1, 2], seed=42)
+        raw = lambda key: key.public_bytes(Encoding.Raw, PublicFormat.Raw).hex()
+        assert raw(reg.owner_keypair[1]) == (
+            "0b3913fae22de409b1de5726ffe30542199dc65b5181124be16f8253defde4b3"
+        )
+        assert raw(reg.hub_keypair[1]) == (
+            "a2af23b783af2243c7e15bff340d65f668abc9dfd4a4e5509976072c375579a4"
+        )
+        assert raw(reg.device_public(1)) == (
+            "e663ca47f7505f4969a60ecf0928d8e962a824d763b75adf052848ad51112951"
+        )
+        assert raw(reg.device_public(2)) == (
+            "c05c55778c572f3564d5dd014bf1c47d39d1a66974881a066dbf2923232bb85b"
+        )
+        assert reg.ring_key.hex() == (
+            "e0cb6e382a5dff72ac1dda96908137478bd536cf4b778ade1fe7a9010b3341c2"
+        )
 
 
 class TestDeviceWrap:
