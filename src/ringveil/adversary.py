@@ -12,8 +12,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
-
 from ringveil import crypto, token
 from ringveil.protocol import HUB_ID
 from ringveil.simnet import TraceLog
@@ -145,7 +143,7 @@ def record_attack(puzzles, target, *, trials=1000, rng_seed=0) -> float:
     """Guess which sealed command slot carries the puzzle with the announced
     delay, from ciphertext bytes alone; returns the success rate.
 
-    Each trial wraps every puzzle for a fresh recipient, pads the blobs to a
+    Each trial wraps every puzzle under a fresh random key, pads the blobs to a
     common slot length, and shuffles the slot order.  The guess is an
     arbitrary deterministic function of all observed bytes, which is the best
     available strategy when the ciphertexts carry no usable signal.
@@ -165,8 +163,7 @@ def record_attack(puzzles, target, *, trials=1000, rng_seed=0) -> float:
         slots = []
         for idx in placement:
             blob = crypto.puzzle_to_bytes(puzzles[idx])
-            secret = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
-            wrapped = crypto.wrap_for_device(blob, secret.public_key(), rng)
+            wrapped = crypto.wrap_for_device(blob, rng.randbytes(32), rng)
             slots.append(wrapped + rng.randbytes(slot_size - len(wrapped)))
         guess = int.from_bytes(crypto.hash_digest(b"".join(slots)), "big") % l
         if puzzles[placement[guess]].t_hat == target:

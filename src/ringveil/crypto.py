@@ -6,8 +6,9 @@ must do the squarings one at a time.  The owner holds the factors p and q
 (PuzzleParams) and evaluates the chain by the Chinese remainder theorem, in two
 half-width exponentiations mod p and mod q.  A holder of phi(n) alone reduces
 the exponent mod phi(n) and makes one exponentiation mod n.
-The same module supplies the symmetric AE used to seal tokens, Ed25519
-signatures for owner orders, and the key registry that provisions a ring.
+The same module supplies the symmetric AE used to seal tokens, the wrap of
+command slots under an owner-device static key, Ed25519 signatures for owner
+orders, and the key registry that provisions a ring.
 """
 
 import hashlib
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -42,8 +42,9 @@ MILLER_RABIN_ROUNDS = 40  # error probability at most 4^-40 < 2^-80
 _modpow = modpow
 _square_chain = square_chain
 
-_WRAP_INFO = b"ringveil device wrap v1"
-_X25519_PUB_BYTES = 32
+_STATIC_INFO = b"ringveil owner-device key v1"
+_WRAP_INFO = b"ringveil device wrap v2"
+WRAP_SALT_BYTES = 32
 
 
 class FramingError(ValueError):
@@ -286,17 +287,25 @@ def verify_order_sig(payload: bytes, signature: bytes, public_key: Ed25519Public
 
 @dataclass(frozen=True)
 class KeyRegistry:
-    """Pre-provisioned keys for one ring: signing pairs, device encryption
-    pairs, and the shared token key k_s."""
+    """Pre-provisioned keys for one ring: signing pairs, device X25519
+    pairs, the owner's X25519 pair with the static key k_dev it shares with
+    each device, and the shared token key k_s."""
 
     owner_keypair: tuple
     hub_keypair: tuple
     device_keypairs: dict
     ring_key: bytes
+    owner_wrap_keypair: tuple
+    device_keys: dict
 
     @classmethod
     def provision(cls, device_ids, seed) -> "KeyRegistry":
-        """Deterministically derive every keypair for the given devices."""
+        """Deterministically derive every keypair for the given devices.
+
+        Each k_dev is HKDF(X25519(device secret, owner public)), the static
+        key of NIST SP 800-56A's C(0e, 2s) scheme, computed here once.  The
+        owner's pair has its own stream, so no other key moves with it.
+        """
         rng = random.Random(seed)
 
         def signing_pair():
@@ -311,42 +320,52 @@ class KeyRegistry:
                 raise ValueError(f"duplicate device id {device_id}")
             sk = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
             devices[device_id] = (sk, sk.public_key())
+        owner_sk = X25519PrivateKey.from_private_bytes(
+            random.Random(derive_seed(seed, "owner-wrap")).randbytes(32)
+        )
+        owner_pk = owner_sk.public_key()
         return cls(
             owner_keypair=owner,
             hub_keypair=hub,
             device_keypairs=devices,
             ring_key=rng.randbytes(32),
+            owner_wrap_keypair=(owner_sk, owner_pk),
+            device_keys={
+                d: HKDF(algorithm=SHA256(), length=32, salt=None, info=_STATIC_INFO).derive(
+                    sk.exchange(owner_pk)
+                )
+                for d, (sk, _pk) in devices.items()
+            },
         )
 
     def device_public(self, device_id) -> X25519PublicKey:
         return self.device_keypairs[device_id][1]
 
-    def device_secret(self, device_id) -> X25519PrivateKey:
-        return self.device_keypairs[device_id][0]
+    def device_secret(self, device_id) -> bytes:
+        """k_dev, the key that wraps and unwraps this device's command slots."""
+        return self.device_keys[device_id]
 
 
-def wrap_for_device(payload: bytes, device_public: X25519PublicKey, rng: random.Random) -> bytes:
-    """Hybrid encryption to one device: ephemeral X25519 + HKDF + AESGCM.
+def _slot_key(device_key: bytes, salt: bytes) -> bytes:
+    return HKDF(algorithm=SHA256(), length=32, salt=salt, info=_WRAP_INFO).derive(device_key)
 
-    Layout: ephemeral_public(32) || sealed payload.  The ephemeral secret is
-    drawn from the caller's rng so plan compilation stays reproducible.
+
+def wrap_for_device(payload: bytes, device_key: bytes, rng: random.Random) -> bytes:
+    """Seal a payload for one device under its static key k_dev.
+
+    Layout: salt(32) || payload sealed under HKDF(k_dev, salt).  The salt is
+    SHA-256 of one rng draw and the payload: compilation stays reproducible,
+    and two payloads never share a slot key.
     """
-    ephemeral = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
-    shared = ephemeral.exchange(device_public)
-    wrap_key = HKDF(algorithm=SHA256(), length=32, salt=None, info=_WRAP_INFO).derive(shared)
-    eph_pub = ephemeral.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
-    return eph_pub + sym_seal(payload, wrap_key, 0)
+    salt = hash_digest(rng.randbytes(WRAP_SALT_BYTES) + payload)
+    return salt + sym_seal(payload, _slot_key(device_key, salt), 0)
 
 
-def unwrap_for_device(frame: bytes, device_secret: X25519PrivateKey) -> bytes:
-    if len(frame) < _X25519_PUB_BYTES + NONCE_BYTES + TAG_BYTES:
+def unwrap_for_device(frame: bytes, device_key: bytes) -> bytes:
+    """One HKDF and one AES-GCM open, whether the slot is real or padding."""
+    if len(frame) < WRAP_SALT_BYTES + NONCE_BYTES + TAG_BYTES:
         raise FramingError("wrapped frame too short")
-    ephemeral_pub = X25519PublicKey.from_public_bytes(frame[:_X25519_PUB_BYTES])
-    shared = device_secret.exchange(ephemeral_pub)
-    wrap_key = HKDF(algorithm=SHA256(), length=32, salt=None, info=_WRAP_INFO).derive(shared)
-    return sym_open(frame[_X25519_PUB_BYTES:], wrap_key)
+    return sym_open(frame[WRAP_SALT_BYTES:], _slot_key(device_key, frame[:WRAP_SALT_BYTES]))
 
 
 def encode_bigint(value: int) -> bytes:

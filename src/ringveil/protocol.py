@@ -129,7 +129,7 @@ class DeviceState:
     device_id: int
     layout: token.TokenLayout
     ring_key: bytes
-    secret_key: object  # X25519 private key for unwrapping command slots
+    secret_key: bytes  # k_dev, the owner-device static key of command slots
     pending_puzzle: Optional[crypto.Puzzle] = None
     solve_progress: int = 0
     solve_residue: int = 0

@@ -21,7 +21,7 @@ DEFAULT_BASE_T_HAT = 1000  # squarings given to the earliest device in a chain
 
 COMMAND_BYTES = 1 + 4 + 8  # state byte, device id, sequence number
 
-PLAN_FORMAT = "ringveil-plan-v2"
+PLAN_FORMAT = "ringveil-plan-v3"
 
 STATE_ON = "on"
 STATE_OFF = "off"
@@ -251,7 +251,7 @@ def compile(
         a = crypto.random_base(rng, params.n)
         puzzle = crypto.puzzle_create(params, a, bounds[device_id], command, key, t_val)
         wrapped = crypto.wrap_for_device(
-            crypto.puzzle_to_bytes(puzzle), registry.device_public(device_id), rng
+            crypto.puzzle_to_bytes(puzzle), registry.device_secret(device_id), rng
         )
         entries.append(
             PlanEntry(
@@ -372,23 +372,24 @@ def json_field(doc, name: str, kind: type):
     return value
 
 
+def check_one_entry_each(entries):
+    """Refuse a plan that gives one device more than one entry."""
+    ids = [e.device_id for e in entries]
+    for device_id in ids:
+        if ids.count(device_id) > 1:
+            raise ValueError(f"device {device_id} has more than one plan entry")
+
+
 def plan_from_json(text: str) -> SchedulePlan:
-    """Read a plan document.  A v1 document carries the ring order it was
-    compiled for; only the fixed order 1..n reads as its ring size, since
-    the t_hat values of any other order assumed a different ring."""
+    """Read a plan document.  v1 and v2 documents hold slots wrapped under a
+    one-time key that no device holds any more, so they are refused."""
     doc = json.loads(text)
     version = json_field(doc, "format", str)
-    if version == "ringveil-plan-v1":
-        ring_order = json_field(doc, "ring_order", list)
-        ring_size = len(ring_order)
-        if ring_order != list(range(1, ring_size + 1)):
-            raise ValueError(
-                "plan was compiled for a schedule-derived ring order; recompile it"
-            )
-    elif version == PLAN_FORMAT:
-        ring_size = json_field(doc, "ring_size", int)
-    else:
+    if version in ("ringveil-plan-v1", "ringveil-plan-v2"):
+        raise ValueError("plan slots use the retired wrap; recompile the plan")
+    if version != PLAN_FORMAT:
         raise ValueError("not a schedule plan document")
+    ring_size = json_field(doc, "ring_size", int)
     entries = tuple(
         PlanEntry(
             device_id=json_field(e, "device_id", int),
@@ -399,15 +400,12 @@ def plan_from_json(text: str) -> SchedulePlan:
         )
         for e in json_field(doc, "entries", list)
     )
-    ids = [e.device_id for e in entries]
-    for device_id in ids:
-        if ids.count(device_id) > 1:
-            raise ValueError(f"device {device_id} has more than one plan entry")
+    check_one_entry_each(entries)
     pairs = json_field(doc, "pairs", list)
     for pair in pairs:
         if not (isinstance(pair, list) and len(pair) == 2 and all(type(d) is int for d in pair)):
             raise ValueError("field 'pairs' must hold [earlier, later] device-id pairs")
-        if not set(pair) <= set(ids):
+        if not set(pair) <= {e.device_id for e in entries}:
             raise ValueError(f"pair {pair} names a device with no plan entry")
     return SchedulePlan(
         entries=entries,

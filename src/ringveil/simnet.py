@@ -165,6 +165,7 @@ def _check_plan(config: SimConfig, plan, registry):
         raise ValueError(
             f"plan covers {plan.ring_size} devices, config has {config.n_physical}"
         )
+    schedule.check_one_entry_each(plan.entries)
     if plan.entries:
         probe = plan.entries[0]
         try:

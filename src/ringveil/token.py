@@ -87,7 +87,7 @@ def max_wrapped_slot_size(modulus_bits: int, command_bytes: int = COMMAND_BYTES)
     nb = (modulus_bits + 7) // 8
     e_z = crypto.NONCE_BYTES + command_bytes + crypto.TAG_BYTES
     puzzle = 3 * (4 + nb) + 8 + 8 + (4 + e_z)
-    return 32 + crypto.NONCE_BYTES + puzzle + crypto.TAG_BYTES
+    return crypto.WRAP_SALT_BYTES + crypto.NONCE_BYTES + puzzle + crypto.TAG_BYTES
 
 
 class Token:

@@ -384,14 +384,38 @@ class TestDeviceWrap:
     def test_roundtrip(self):
         reg = crypto.KeyRegistry.provision([1, 2], seed=9)
         rng = random.Random(0)
-        frame = crypto.wrap_for_device(b"secret puzzle", reg.device_public(1), rng)
+        frame = crypto.wrap_for_device(b"secret puzzle", reg.device_secret(1), rng)
         assert crypto.unwrap_for_device(frame, reg.device_secret(1)) == b"secret puzzle"
 
     def test_wrong_device_cannot_unwrap(self):
         reg = crypto.KeyRegistry.provision([1, 2], seed=9)
-        frame = crypto.wrap_for_device(b"p", reg.device_public(1), random.Random(0))
+        frame = crypto.wrap_for_device(b"p", reg.device_secret(1), random.Random(0))
         with pytest.raises(crypto.AuthenticationError):
             crypto.unwrap_for_device(frame, reg.device_secret(2))
+
+    def test_each_attempt_is_one_key_derivation_and_one_open(self, monkeypatch):
+        # A device's work on its slot must not tell a real slot from padding.
+        reg = crypto.KeyRegistry.provision([1], seed=9)
+        real = crypto.wrap_for_device(b"p" * 200, reg.device_secret(1), random.Random(0))
+        padding = random.Random(1).randbytes(len(real))
+        counts = {"derive": 0, "open": 0, "exchange": 0}
+
+        def counting(name, original):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return call
+
+        key_type = type(reg.device_keypairs[1][0])
+        monkeypatch.setattr(crypto, "HKDF", counting("derive", crypto.HKDF))
+        monkeypatch.setattr(crypto, "sym_open", counting("open", crypto.sym_open))
+        monkeypatch.setattr(key_type, "exchange", counting("exchange", key_type.exchange))
+        assert crypto.unwrap_for_device(real, reg.device_secret(1)) == b"p" * 200
+        assert counts == {"derive": 1, "open": 1, "exchange": 0}
+        with pytest.raises(crypto.AuthenticationError):
+            crypto.unwrap_for_device(padding, reg.device_secret(1))
+        assert counts == {"derive": 2, "open": 2, "exchange": 0}
 
     def test_truncated_wrap_is_framing_error(self):
         reg = crypto.KeyRegistry.provision([1], seed=9)

@@ -86,7 +86,7 @@ def _star_baseline():
         (
             _scheduled_ring,
             "341a959f5abc5a8419a30af98e00845e5f8d61bbcd9d021685820f3149d24252",
-            "0fea00d1f446cc99fa7cbe4f128c6200344156c83862236b488e1031cc85b4d2",
+            "af2d280d99d1710ec517f0aba2ac13c50572e30bd6e797ab469f9708245bafd2",
         ),
         (
             # The star baseline seals nothing: its frame digest is that of no bytes.

@@ -21,4 +21,5 @@ def test_every_traced_target_exists():
         for module, attr, _name, _hook in tracing.TARGETS
         if not hasattr(importlib.import_module(module), attr)
     ]
-    assert tracing.TARGETS and missing == []
+    assert tracing.TARGETS
+    assert missing == []

@@ -1,6 +1,7 @@
 """Unit tests for the owner/hub/device state machines."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -218,6 +219,21 @@ class TestDeviceOnToken:
         on_time = protocol.make_device(1, REGISTRY, LAYOUT)
         protocol.device_on_token(on_time, frame, late - 1)
         assert on_time.pending_puzzle == plan.entries[0].puzzle
+
+    def test_slot_wrapped_under_a_foreign_key_is_discarded(self):
+        # Only the owner shares device 1's static key: a slot that anyone
+        # else wraps, the hub included, is padding to the device.
+        puzzle = build_plan().entries[0].puzzle
+        foreign = crypto.KeyRegistry.provision(range(1, N + 1), seed=999)
+        for registry, expected in ((foreign, None), (REGISTRY, puzzle)):
+            hub, devices = make_ring()
+            hub.pending_plan = {
+                1: crypto.wrap_for_device(
+                    crypto.puzzle_to_bytes(puzzle), registry.device_secret(1), random.Random(0)
+                )
+            }
+            protocol.device_on_token(devices[0], protocol.hub_emit_token(hub), 5)
+            assert devices[0].pending_puzzle == expected
 
     def test_padding_slot_leaves_no_puzzle(self):
         hub, devices = make_ring()

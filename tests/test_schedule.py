@@ -184,6 +184,25 @@ class TestCompile:
             assert device_id == entry.device_id
             assert state == order.state_of(entry.device_id)
 
+    def test_one_seed_never_reuses_a_slot_key_and_nonce(self):
+        # Each pair of orders draws one rng stream but gives some device a
+        # different puzzle; its salt hashes the puzzle, so its slot key moves.
+        sealed = {}
+        orders = (
+            make_order(3, [(1, 2)]),
+            make_order(3, [(1, 3)]),
+            make_order(3, [(1, 2)], states={1: "off"}),
+        )
+        for order in orders:
+            plan = schedule.compile(order, REGISTRY, PARAMS, self.FWD[:3], rng_seed=7)
+            for entry in plan.entries:
+                salt = entry.wrapped[: crypto.WRAP_SALT_BYTES]
+                frame = entry.wrapped[crypto.WRAP_SALT_BYTES :]
+                key = crypto._slot_key(REGISTRY.device_secret(entry.device_id), salt)
+                plaintext = crypto.sym_open(frame, key)
+                assert sealed.setdefault((key, frame[: crypto.NONCE_BYTES]), plaintext) == plaintext
+        assert len(sealed) == 7  # device 1's puzzle repeats under the first two orders
+
     def test_deterministic_for_fixed_seed(self):
         order = make_order(3, [(1, 3)])
         a = schedule.compile(order, REGISTRY, PARAMS, self.FWD[:3], rng_seed=7)
@@ -261,19 +280,26 @@ class TestPlanSerialization:
         plan = schedule.compile(order, REGISTRY, PARAMS, [10, 20, 30], rng_seed=5)
         assert schedule.plan_from_json(schedule.plan_to_json(plan)) == plan
 
-    def test_v1_document_with_the_fixed_ring_is_read(self):
+    def test_v1_document_with_the_fixed_ring_is_refused(self):
         plan = schedule.compile(make_order(3, [(2, 1)]), REGISTRY, PARAMS, [10, 20, 30])
         doc = json.loads(schedule.plan_to_json(plan))
-        assert doc["format"] == "ringveil-plan-v2" and doc.pop("ring_size") == 3
+        assert doc["format"] == "ringveil-plan-v3" and doc.pop("ring_size") == 3
         doc.update(format="ringveil-plan-v1", ring_order=[1, 2, 3])
-        assert schedule.plan_from_json(json.dumps(doc)) == plan
+        with pytest.raises(ValueError, match="slots use the retired wrap; recompile"):
+            schedule.plan_from_json(json.dumps(doc))
 
     def test_v1_document_with_a_derived_ring_is_refused(self):
         plan = schedule.compile(make_order(3, [(2, 1)]), REGISTRY, PARAMS, [10, 20, 30])
         doc = json.loads(schedule.plan_to_json(plan))
         del doc["ring_size"]
         doc.update(format="ringveil-plan-v1", ring_order=[2, 1, 3])
-        with pytest.raises(ValueError, match="recompile"):
+        with pytest.raises(ValueError, match="slots use the retired wrap; recompile"):
+            schedule.plan_from_json(json.dumps(doc))
+
+    def test_v2_document_is_refused(self):
+        plan = schedule.compile(make_order(3, [(2, 1)]), REGISTRY, PARAMS, [10, 20, 30])
+        doc = dict(json.loads(schedule.plan_to_json(plan)), format="ringveil-plan-v2")
+        with pytest.raises(ValueError, match="slots use the retired wrap; recompile"):
             schedule.plan_from_json(json.dumps(doc))
 
     def test_device_with_two_entries_is_refused(self):

@@ -301,6 +301,32 @@ class TestPlanExecution:
         t_com = {r.device_id: r.t_com for r in reports}
         assert all(t_com[a] < t_com[b] for a, b in order.pairs)
 
+    def test_plan_naming_a_device_twice_is_refused_by_name(self):
+        config = small_config()
+        _, plan = compile_plan(config, "device 1\ndevice 2\ndevice 3\n")
+        twice = replace(plan, entries=plan.entries + (replace(plan.entries[1], device_id=1),))
+        with pytest.raises(ValueError, match="device 1 has more than one plan entry"):
+            simnet.run(config, twice)
+
+    def test_a_run_makes_no_x25519_exchange(self, monkeypatch):
+        config = small_config(rounds=14)
+        _, plan = compile_plan(config, "device 1\ndevice 2\ndevice 3\npair 1 2\n")
+        registry = simnet.registry_for(config)
+        key_type = type(registry.device_keypairs[1][0])
+        exchange = key_type.exchange
+        calls = []
+
+        def counting_exchange(key, peer):
+            calls.append(peer)
+            return exchange(key, peer)
+
+        monkeypatch.setattr(key_type, "exchange", counting_exchange)
+        simnet.registry_for(config)
+        assert len(calls) == 3  # provisioning derives each device's k_dev once
+        calls.clear()
+        _, reports, _ = simnet.run(config, plan, registry=registry)
+        assert len(reports) == 3 and calls == []
+
     def tie_config(self, rounds):
         # The device takes its puzzle at 450 us and holds 100 us, so its
         # 1000-squaring solve lands at 1550 us: exactly its second arrival.

@@ -46,7 +46,7 @@ class TestLayout:
             params, 3, 5, b"\x01" + bytes(4) + bytes(8), params.n - 1, t_val=2**40
         )
         wrapped = crypto.wrap_for_device(
-            crypto.puzzle_to_bytes(puzzle), registry.device_public(1), random.Random(0)
+            crypto.puzzle_to_bytes(puzzle), registry.device_secret(1), random.Random(0)
         )
         assert len(wrapped) <= token.max_wrapped_slot_size(64)
 
