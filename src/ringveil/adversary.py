@@ -143,8 +143,8 @@ def record_attack(puzzles, target, *, trials=1000, rng_seed=0) -> float:
     """Guess which sealed command slot carries the puzzle with the announced
     delay, from ciphertext bytes alone; returns the success rate.
 
-    Each trial wraps every puzzle under a fresh random key, pads the blobs to a
-    common slot length, and shuffles the slot order.  The guess is an
+    Each trial wraps every puzzle under a fresh random key, pads the blobs
+    to a common slot length, and shuffles the slot order.  The guess is an
     arbitrary deterministic function of all observed bytes, which is the best
     available strategy when the ciphertexts carry no usable signal.
     """

@@ -320,9 +320,8 @@ class KeyRegistry:
                 raise ValueError(f"duplicate device id {device_id}")
             sk = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
             devices[device_id] = (sk, sk.public_key())
-        owner_sk = X25519PrivateKey.from_private_bytes(
-            random.Random(derive_seed(seed, "owner-wrap")).randbytes(32)
-        )
+        owner_seed = None if seed is None else derive_seed(seed, "owner-wrap")
+        owner_sk = X25519PrivateKey.from_private_bytes(random.Random(owner_seed).randbytes(32))
         owner_pk = owner_sk.public_key()
         return cls(
             owner_keypair=owner,

@@ -199,9 +199,11 @@ class TestCompile:
                 salt = entry.wrapped[: crypto.WRAP_SALT_BYTES]
                 frame = entry.wrapped[crypto.WRAP_SALT_BYTES :]
                 key = crypto._slot_key(REGISTRY.device_secret(entry.device_id), salt)
+                nonce = frame[: crypto.NONCE_BYTES]
                 plaintext = crypto.sym_open(frame, key)
-                assert sealed.setdefault((key, frame[: crypto.NONCE_BYTES]), plaintext) == plaintext
-        assert len(sealed) == 7  # device 1's puzzle repeats under the first two orders
+                assert sealed.setdefault((key, nonce), plaintext) == plaintext
+        # devices 2 and 3 get one puzzle each under the first and last orders
+        assert len(sealed) == 7
 
     def test_deterministic_for_fixed_seed(self):
         order = make_order(3, [(1, 3)])
