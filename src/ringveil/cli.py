@@ -5,8 +5,11 @@ Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error,
 4 protocol failure (the ring could not carry the run, e.g. an upload larger
 than its sub-field).
 The seed comes from --seed, falling back to the RINGVEIL_SEED environment
-variable, then 0.  Every run writes a manifest carrying the seed and the
-geometry fingerprint so any output can be reproduced byte for byte.
+variable, then 0.  Each command takes only the network flags it reads, and
+SimConfig's defaults fill in the rest.  Every simulation run writes a
+manifest carrying the seed and the full config so any output can be
+reproduced byte for byte.  calibrate takes no seed: it squares under one
+fixed modulus per width and times the calling thread's CPU.
 """
 
 import argparse
@@ -61,37 +64,35 @@ def _int_list(text: str):
     return values
 
 
-def _network_flags(parser):
+# The SimConfig fields each command reads.  A compile predicts zero-jitter
+# forward times, so it never reads the round count, jitter or star cadence; a
+# sweep runs padding-only rings, which never solve and never use the star.
+_COMPILE_FIELDS = (
+    "hop_latency", "bandwidth", "squarings_per_tick", "hold", "modulus_bits", "data_per_device"
+)
+_SWEEP_FIELDS = (
+    "rounds", "hop_latency", "jitter", "bandwidth", "hold", "modulus_bits", "data_per_device"
+)
+_RUN_FIELDS = _SWEEP_FIELDS + ("squarings_per_tick", "command_interval")
+
+
+def _network_flags(parser, fields):
+    """--seed plus one flag per named SimConfig field, defaulting to SimConfig's."""
     defaults = simnet.SimConfig()
-    parser.add_argument("--rounds", type=int, default=defaults.rounds)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--hop-latency", type=int, default=defaults.hop_latency)
-    parser.add_argument("--jitter", type=int, default=defaults.jitter)
-    parser.add_argument("--bandwidth", type=int, default=defaults.bandwidth)
-    parser.add_argument("--squaring-rate", type=int, default=defaults.squarings_per_tick,
-                        help="device squarings per microsecond (S)")
-    parser.add_argument("--hold", type=int, default=defaults.hold)
-    parser.add_argument("--modulus-bits", type=int, default=defaults.modulus_bits)
-    parser.add_argument("--data-per-device", type=int, default=defaults.data_per_device)
-    parser.add_argument("--command-interval", type=int, default=defaults.command_interval)
+    for field in fields:
+        if field == "squarings_per_tick":
+            flag, help_text = "--squaring-rate", "device squarings per microsecond (S)"
+        else:
+            flag, help_text = "--" + field.replace("_", "-"), None
+        parser.add_argument(flag, dest=field, type=int, default=getattr(defaults, field),
+                            help=help_text)
+    parser.set_defaults(network_fields=fields)
 
 
-def _config_from_args(args, n_physical, n_virtual=None, topology=simnet.RING):
-    return simnet.SimConfig(
-        n_physical=n_physical,
-        n_virtual=n_virtual,
-        topology=topology,
-        hop_latency=args.hop_latency,
-        jitter=args.jitter,
-        bandwidth=args.bandwidth,
-        squarings_per_tick=args.squaring_rate,
-        rounds=args.rounds,
-        seed=_resolve_seed(args.seed),
-        modulus_bits=args.modulus_bits,
-        data_per_device=args.data_per_device,
-        hold=args.hold,
-        command_interval=args.command_interval,
-    )
+def _config_from_args(args, **geometry):
+    settings = {field: getattr(args, field) for field in args.network_fields}
+    return simnet.SimConfig(seed=_resolve_seed(args.seed), **settings, **geometry)
 
 
 def _stats_line(stats) -> str:
@@ -226,10 +227,7 @@ def _cmd_puzzle_verify(args):
 
 
 def _cmd_calibrate(args):
-    params = crypto.gen_params(
-        args.modulus_bits, rng_seed=crypto.derive_seed(_resolve_seed(args.seed), "calibrate")
-    )
-    modulus = params.n
+    modulus = crypto.gen_params(args.modulus_bits, rng_seed=crypto.derive_seed(0, "calibrate")).n
     square_chain(2, modulus, 2000)  # warm the path
     batch = 2000
     total_steps = 0
@@ -237,9 +235,9 @@ def _cmd_calibrate(args):
     budget = args.duration_ms / 1000.0
     value = 2
     while elapsed < budget:
-        start = time.perf_counter()
+        start = time.thread_time()
         value = square_chain(value, modulus, batch)
-        elapsed += time.perf_counter() - start
+        elapsed += time.thread_time() - start
         total_steps += batch
     rate = total_steps / elapsed
     report = {
@@ -309,8 +307,7 @@ def _cmd_sim_run(args):
 
 
 def _cmd_sim_sweep(args):
-    base = _config_from_args(args, n_physical=args.physical)
-    rows = simnet.latency_sweep(base, args.devices, parallel=args.parallel)
+    rows = simnet.latency_sweep(_config_from_args(args), args.devices)
     text = "\n".join([STATS_HEADER] + [_stats_line(row) for row in rows]) + "\n"
     if args.out:
         _write(args.out, text)
@@ -366,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("--out", default="plan.json")
     p_compile.add_argument("--params-out", default=None,
                            help="write the puzzle trapdoor parameters here")
-    _network_flags(p_compile)
+    _network_flags(p_compile, _COMPILE_FIELDS)
     p_compile.set_defaults(func=_cmd_schedule_compile)
 
     p_puzzle = sub.add_parser("puzzle", help="time-lock puzzle tooling")
@@ -398,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal = sub.add_parser("calibrate", help="measure host squaring rate")
     p_cal.add_argument("--modulus-bits", type=int, default=crypto.DEFAULT_MODULUS_BITS)
     p_cal.add_argument("--duration-ms", type=int, default=200)
-    p_cal.add_argument("--seed", type=int, default=None)
     p_cal.set_defaults(func=_cmd_calibrate)
 
     p_sim = sub.add_parser("sim", help="network simulation")
@@ -410,15 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--schedule", default=None,
                        help="schedule text or compiled plan JSON")
     p_run.add_argument("--out-dir", default="simout")
-    _network_flags(p_run)
+    _network_flags(p_run, _RUN_FIELDS)
     p_run.set_defaults(func=_cmd_sim_run)
     p_sweep = sim_sub.add_parser("sweep")
     p_sweep.add_argument("--devices", type=_int_list, required=True,
                          help="comma-separated virtual device counts")
-    p_sweep.add_argument("--physical", type=int, default=3)
-    p_sweep.add_argument("--parallel", type=int, default=1)
     p_sweep.add_argument("--out", default=None)
-    _network_flags(p_sweep)
+    _network_flags(p_sweep, _SWEEP_FIELDS)
     p_sweep.set_defaults(func=_cmd_sim_sweep)
 
     p_adv = sub.add_parser("adversary", help="wiretap analysis")

@@ -288,14 +288,13 @@ def verify_order_sig(payload: bytes, signature: bytes, public_key: Ed25519Public
 @dataclass(frozen=True)
 class KeyRegistry:
     """Pre-provisioned keys for one ring: signing pairs, device X25519
-    pairs, the owner's X25519 pair with the static key k_dev it shares with
-    each device, and the shared token key k_s."""
+    pairs, the static key k_dev each device shares with the owner's X25519
+    pair, and the shared token key k_s."""
 
     owner_keypair: tuple
     hub_keypair: tuple
     device_keypairs: dict
     ring_key: bytes
-    owner_wrap_keypair: tuple
     device_keys: dict
 
     @classmethod
@@ -328,7 +327,6 @@ class KeyRegistry:
             hub_keypair=hub,
             device_keypairs=devices,
             ring_key=rng.randbytes(32),
-            owner_wrap_keypair=(owner_sk, owner_pk),
             device_keys={
                 d: HKDF(algorithm=SHA256(), length=32, salt=None, info=_STATIC_INFO).derive(
                     sk.exchange(owner_pk)

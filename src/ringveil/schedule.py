@@ -220,16 +220,6 @@ def compile(
             f"{len(order.devices)} scheduled devices exceed ring capacity {n}"
         )
     extension = linear_extension(order, n)  # raises CycleError on bad input
-    if not order.devices:
-        return SchedulePlan(
-            entries=(),
-            slot_length=0,
-            comparable_count=0,
-            ring_size=n,
-            pairs=(),
-            squarings_per_unit=squarings_per_unit,
-            issued_at=issued_at,
-        )
     for d in order.devices:
         if d not in registry.device_keypairs:
             raise ValueError(f"device {d} has no provisioned keypair")
@@ -240,7 +230,7 @@ def compile(
         squarings_per_unit=squarings_per_unit,
         base_t_hat=base_t_hat,
     )
-    slot_length = -(-max(bounds.values()) // squarings_per_unit)
+    slot_length = -(-max(bounds.values(), default=0) // squarings_per_unit)
     t_val = issued_at + 2 * slot_length
 
     rng = random.Random(crypto.derive_seed("plan", rng_seed))

@@ -300,31 +300,18 @@ def run(config: SimConfig, plan=None, *, script=None, registry=None):
     return trace, reports, stats
 
 
-def _sweep_row(config: SimConfig) -> dict:
-    _trace, _reports, stats = run(config)
-    return {name: stats[name] for name in STATS_FIELDS}
-
-
-def latency_sweep(base: SimConfig, device_counts, parallel: int = 1):
+def latency_sweep(base: SimConfig, device_counts):
     """One padding-token run per device count, fixed seed, growing frames.
 
-    With ``parallel`` above 1 the runs spread over that many worker
-    processes; every run is deterministic, so the rows are the same.
+    The runs go one after another in this process.  Round latency and frame
+    size depend on the virtual count alone, so the physical count is capped
+    at each virtual count and otherwise taken from ``base``.
     """
     if not device_counts:
         raise ValueError("device_counts must be non-empty")
-    configs = [
-        replace(base, topology=RING, n_virtual=n, n_physical=min(base.n_physical, n))
-        for n in device_counts
-    ]
-    if parallel <= 1:
-        return [_sweep_row(config) for config in configs]
-    # imported here so that importing the package does not load them
-    import concurrent.futures
-    import multiprocessing
-
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=min(parallel, len(configs)),
-        mp_context=multiprocessing.get_context("spawn"),
-    ) as pool:
-        return list(pool.map(_sweep_row, configs))
+    rows = []
+    for n in device_counts:
+        config = replace(base, topology=RING, n_virtual=n, n_physical=min(base.n_physical, n))
+        _trace, _reports, stats = run(config)
+        rows.append({name: stats[name] for name in STATS_FIELDS})
+    return rows

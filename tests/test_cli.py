@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, file outputs, replayability."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -468,16 +469,66 @@ class TestSimSweep:
         assert [int(line.split(",")[0]) for line in lines[1:]] == [3, 7, 11]
         assert stdout.splitlines() == lines
 
-    def test_parallel_matches_sequential(self, capsys, tmp_path):
-        args = ("sim", "sweep", "--devices", "3,5", "--rounds", "2",
-                "--modulus-bits", "64", "--seed", "2")
-        _, seq, _ = run_cli(capsys, *args)
-        _, par, _ = run_cli(capsys, *args, "--parallel", "2")
-        assert seq == par
-
     def test_empty_device_list_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "sim", "sweep", "--devices", ",")
         assert code == cli.EXIT_USAGE
+
+
+def _int_options(*command):
+    """The int-valued options of one subcommand of the real parser."""
+    parser = cli.build_parser()
+    for name in command:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return [a for a in parser._actions if a.type is int]
+
+
+def _unread_flags(output, base, options):
+    """The flags whose value doubled (1 for an unset one) leaves output() as it is."""
+    reference = output(base)
+    unread = []
+    for action in options:
+        flag = action.option_strings[0]
+        current = int(base[base.index(flag) + 1]) if flag in base else action.default
+        if output([*base, flag, str(2 * current if current else 1)]) == reference:
+            unread.append(flag)
+    return unread
+
+
+class TestEveryFlagIsRead:
+    """Every int option of compile and sweep changes what the command computes."""
+
+    def test_schedule_compile(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("RINGVEIL_SEED", raising=False)
+        sched = tmp_path / "s.txt"
+        sched.write_text(SCHED_TEXT)
+        plan, params = tmp_path / "plan.json", tmp_path / "params.json"
+
+        def output(args):
+            code, stdout, _ = run_cli(
+                capsys, "schedule", "compile", str(sched), "--out", str(plan),
+                "--params-out", str(params), *args,
+            )
+            assert code == 0
+            return plan.read_text(), params.read_text(), stdout
+
+        options = _int_options("schedule", "compile")
+        assert options
+        assert _unread_flags(output, ["--modulus-bits", "64"], options) == []
+
+    def test_sim_sweep(self, capsys, monkeypatch):
+        monkeypatch.delenv("RINGVEIL_SEED", raising=False)
+
+        def output(args):
+            code, stdout, _ = run_cli(capsys, "sim", "sweep", "--devices", "3,5", *args)
+            assert code == 0
+            return stdout
+
+        # With jitter, the round count and the seed move the latency columns.
+        base = ["--jitter", "50", "--modulus-bits", "64"]
+        options = _int_options("sim", "sweep")
+        assert options
+        assert _unread_flags(output, base, options) == []
 
 
 class TestAdversaryAnalyze:

@@ -157,3 +157,31 @@ def test_golden_reports():
         (6, 5518, 1000, 71525902321912719439269145953589668550),
         (5, 16060, 12295, 205699163708478405485364721377286633413),
     ]
+
+
+def _virtual_ring_with_a_read():
+    # Each physical device stands in for two ring positions, so it seals two
+    # frames a round; device 3 also uploads.
+    config = simnet.SimConfig(n_physical=3, n_virtual=6, data_per_device=96)
+    return simnet.run(config, script=[("read", 3)])
+
+
+@pytest.mark.parametrize(
+    "run, count",
+    [(_scheduled_ring_run, 96), (_virtual_ring_with_a_read, 70)],
+    ids=["scheduled_ring", "virtual_ring"],
+)
+def test_no_key_nonce_pair_seals_two_plaintexts(monkeypatch, run, count):
+    # One run's every seal: hub and device frames, slot wraps and each e_z.
+    # AES-GCM under a repeated (key, nonce) leaks the XOR of the plaintexts.
+    seals = []
+    original = crypto.sym_seal
+
+    def recording_seal(plaintext, key, nonce):
+        seals.append((bytes(key), nonce, bytes(plaintext)))
+        return original(plaintext, key, nonce)
+
+    monkeypatch.setattr(crypto, "sym_seal", recording_seal)
+    run()
+    assert len(seals) == count
+    assert len({(key, nonce) for key, nonce, _ in seals}) == len(set(seals))

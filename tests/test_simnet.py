@@ -421,11 +421,6 @@ class TestSweep:
         sizes = [row["mean_token_bytes"] for row in rows]
         assert sizes[1] - sizes[0] == sizes[2] - sizes[1] > 0
 
-    def test_parallel_rows_equal_serial_rows(self):
-        config = small_config(rounds=2, jitter=50)
-        serial = simnet.latency_sweep(config, [3, 5, 6])
-        assert simnet.latency_sweep(config, [3, 5, 6], parallel=2) == serial
-
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
             simnet.latency_sweep(small_config(), [])
